@@ -3,10 +3,15 @@
 :class:`Actor` subclasses implement Hewitt's axioms (send / create /
 designate-next-behaviour) and run on either runtime:
 
-* :class:`ActorSystem` — real threads, shared dispatcher pool, for
-  throughput and the performance benchmarks;
-* :class:`SimActorSystem` — deterministic kernel tasks, for exhaustive
-  exploration of message arrival orders with :mod:`repro.verify`.
+* :class:`ActorSystem` — one actor cell (mailbox, stop pill,
+  supervision, dead letters) with two drivers: the threaded one on a
+  shared work-stealing pool, for throughput and the performance
+  benchmarks, and :class:`~repro.sim.inline.InlineActorSystem`, which
+  runs the same cell one message per simulation decision;
+* :class:`SimActorSystem` — a separate kernel model: actors are
+  deterministic kernel tasks with pluggable delivery policies, for
+  exhaustive exploration of message arrival orders with
+  :mod:`repro.verify`.
 
 Plus the interaction patterns the labs use: :func:`ask` request/response,
 routers, scatter-gather aggregation.

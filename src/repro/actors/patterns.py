@@ -53,12 +53,18 @@ def ask(system: ActorSystem, target: ActorRef, payload: Any,
 
     Spawns a temporary reply actor, sends ``Ask(payload)`` with it as
     the sender, and blocks (the *caller*, never the target) until the
-    reply lands or the timeout expires.
+    reply lands or the timeout expires.  The collector gets a unique
+    system-minted name, so repeated and concurrent asks never collide,
+    and a timed-out ask stops it: a late reply becomes a dead letter.
     """
     future = PoolFuture()
-    collector = system.spawn(_ReplyCollector, future, name="ask-reply")
+    collector = system.spawn(_ReplyCollector, future)
     target.tell(Ask(payload), sender=collector)
-    return future.result(timeout)
+    try:
+        return future.result(timeout)
+    except TimeoutError:
+        system.stop(collector)
+        raise
 
 
 class RoundRobinRouter(Actor):

@@ -41,7 +41,6 @@ from collections import deque
 from enum import Enum
 from typing import Any, Optional
 
-from ..threads.sync import Monitor
 from .actor import Actor, ActorContext
 from .executor import WorkStealingExecutor
 from .ref import ActorRef
@@ -195,7 +194,10 @@ class _Cell:
                 self._reject()
 
     # -- message processing ----------------------------------------------------
-    def _process(self) -> None:
+    def _process(self) -> int:
+        """One processing job; returns how many mailbox entries it took
+        (0 when a STOP directive in ``pre_start`` stopped the actor
+        before any of its mail ran)."""
         system = self.system
         actor = self.actor
         if not self.started:
@@ -206,7 +208,7 @@ class _Cell:
                 system._on_failure(self, exc, "<pre_start>")
             if self._stopped:          # STOP directive fired in pre_start
                 self._sched.release()
-                return
+                return 0
         prof = system.profiler
         trc = system.tracer
         mailbox = self.mailbox
@@ -329,7 +331,7 @@ class _Cell:
                             batch[j][2] if len(batch[j]) > 2 else None)
                 del batch[:]
                 self._sched.release()
-                return
+                return n
         del batch[:]
 
         if mailbox:
@@ -338,13 +340,14 @@ class _Cell:
             if not system._executor.submit(self._run, affinity=self.affinity,
                                            fair=True):
                 self._reject()
-            return
+            return n
         self._sched.release()
         # a message may have slipped in between the emptiness check and
         # the release — whoever wins the try-lock reschedules
         if mailbox and self._sched.acquire(False):
             if not system._executor.submit(self._run, affinity=self.affinity):
                 self._reject()
+        return n
 
     def _do_stop(self) -> None:
         with self.lock:
@@ -411,10 +414,9 @@ class ActorSystem:
         #: mailbox-wait/executor-queue/handler span chain; None keeps
         #: the lock-free enqueue path
         self.tracer = tracer
-        self._executor = WorkStealingExecutor(workers,
-                                              name=f"{name}.dispatch",
-                                              profiler=profiler)
-        self._cells: dict[int, _Cell] = {}
+        self._executor = self._new_executor(workers)
+        #: live cells by actor name, in spawn order
+        self._cells: dict[str, _Cell] = {}
         self._cells_lock = threading.Lock()
         self.dead_letters: list[DeadLetter] = []
         self._dl_lock = threading.Lock()
@@ -423,7 +425,12 @@ class ActorSystem:
         #: optional callback (name, error, applied_directive) invoked after
         #: a failure is handled — the cluster layer hangs watch signals here
         self.failure_listener: Optional[Any] = None
-        self._idle = Monitor(f"{name}.idle")
+
+    def _new_executor(self, workers: int) -> Any:
+        """The dispatcher cells submit their processing jobs to; the
+        simulation's inline driver overrides it with a job holder."""
+        return WorkStealingExecutor(workers, name=f"{self.name}.dispatch",
+                                    profiler=self.profiler)
 
     # ------------------------------------------------------------------
     def spawn(self, actor_class: type, *args: Any, name: str = "",
@@ -433,7 +440,8 @@ class ActorSystem:
 
         ``directive`` overrides the system-wide supervision default for
         this actor only — one crashing actor can be STOPped while the
-        rest RESTART.
+        rest RESTART.  Names are unique among live actors: spawning a
+        second live actor under a taken name raises ``ValueError``.
         """
         if not issubclass(actor_class, Actor):
             raise TypeError(f"{actor_class.__name__} is not an Actor subclass")
@@ -444,7 +452,10 @@ class ActorSystem:
                      directive=directive)
         actor.context = ActorContext(self, cell.ref)
         with self._cells_lock:
-            self._cells[actor_id] = cell
+            old = self._cells.get(cell.ref.name)
+            if old is not None and not old.stopped:
+                raise ValueError(f"actor {cell.ref.name!r} already exists")
+            self._cells[cell.ref.name] = cell
         # schedule once immediately so pre_start runs even for actors
         # that initiate conversations instead of waiting for mail
         cell._sched.acquire()
@@ -510,9 +521,9 @@ class ActorSystem:
 
     def _forget(self, cell: _Cell) -> None:
         with self._cells_lock:
-            self._cells.pop(cell.ref.actor_id, None)
-        with self._idle:
-            self._idle.notify_all()
+            # a stopped name may already be re-spawned: drop only our cell
+            if self._cells.get(cell.ref.name) is cell:
+                del self._cells[cell.ref.name]
 
     def _on_failure(self, cell: _Cell, error: BaseException,
                     message: Any) -> None:
@@ -545,8 +556,8 @@ class ActorSystem:
                       directive: Optional[SupervisionDirective]) -> None:
         """Change one actor's supervision override (None = system default)."""
         with self._cells_lock:
-            cell = self._cells.get(ref.actor_id)
-        if cell is not None:
+            cell = self._cells.get(ref.name)
+        if cell is not None and cell.ref == ref:
             cell.directive = directive
 
     @property

@@ -3,20 +3,13 @@
 The threaded :class:`~repro.actors.system.ActorSystem` dispatches
 mailboxes on a work-stealing executor — real parallelism, real
 nondeterminism.  Under deterministic simulation that nondeterminism
-must be *scheduled*, not raced, so :class:`InlineActorSystem` keeps
-the same public surface the cluster node uses (``spawn``, ``stop``,
-``set_directive``, ``dead_letters``/``_dl_lock``, ``_dead_letter``,
-``_quiet``, ``shutdown``, ``failure_listener``) but never starts a
-thread: ``tell`` only enqueues, and one message is processed when —
-and only when — the simulation driver calls :meth:`process_one`.
-Which actor runs next is therefore a schedulable decision like any
-frame delivery.
-
-Supervision semantics mirror the threaded system exactly: RESUME drops
-the message, RESTART runs ``pre_restart`` (swallowing its errors),
-STOP stops the cell and dead-letters the rest of its mailbox, and the
-``failure_listener`` (the cluster node's watch-signal hook) is invoked
-with ``(name, error, directive)`` either way.
+must be *scheduled*, not raced, so :class:`InlineActorSystem` runs the
+very same cells (mailboxes, stop pill, supervision, dead letters) with
+``throughput=1`` on an executor that never starts a thread: it only
+holds each cell's queued processing job until the simulation driver
+runs it with :meth:`~InlineActorSystem.process_one` — exactly one
+message.  Which actor runs next is therefore a schedulable decision
+like any frame delivery.
 
 Actor ids come from a per-instance counter, not the threaded system's
 process-global one, so actor names and ref reprs are identical on
@@ -25,127 +18,70 @@ every replay of a schedule — a requirement for stable fingerprints.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
+import itertools
 from typing import Any, Callable, Optional
 
-from ..actors.actor import Actor, ActorContext
-from ..actors.ref import ActorRef
-from ..actors.system import DeadLetter, SupervisionDirective
+from ..actors.system import ActorSystem, SupervisionDirective, _StopSignal
 
 __all__ = ["InlineActorSystem"]
 
 
-class _InlineStop:
-    """Poison pill appended by ``stop`` (processed in mailbox order)."""
+class _HeldJobs:
+    """Executor stand-in: records each cell's queued processing job,
+    keyed by its affinity (the actor id), and never runs it."""
+
+    def __init__(self) -> None:
+        self.jobs: dict[int, Callable[[], int]] = {}
+
+    def submit(self, task: Callable[[], int], affinity: int = 0,
+               fair: bool = False) -> bool:
+        self.jobs[affinity] = task
+        return True
 
 
-class _InlineCell:
-    """One actor's state: mailbox deque + lifecycle flags, no threads."""
-
-    __slots__ = ("system", "actor", "ref", "mailbox", "started",
-                 "_stopped", "directive")
-
-    def __init__(self, system: "InlineActorSystem", actor: Actor,
-                 ref_name: str, actor_id: int,
-                 directive: Optional[SupervisionDirective] = None):
-        self.system = system
-        self.actor = actor
-        self.ref = ActorRef(actor_id, ref_name, self)
-        self.mailbox: deque = deque()
-        self.started = False
-        self._stopped = False
-        self.directive = directive
-
-    # -- ActorCell protocol (what ActorRef.tell/is_stopped/pending use) --
-    def enqueue(self, message: Any, sender: Optional[ActorRef],
-                ctx: Any = None) -> None:
-        if self._stopped:
-            self.system._dead_letter(self.ref.name, message, sender,
-                                     ctx=ctx)
-            return
-        self.mailbox.append((message, sender))
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    def depth(self) -> int:
-        return len(self.mailbox)
-
-
-class InlineActorSystem:
+class InlineActorSystem(ActorSystem):
     """Drop-in ``ActorSystem`` for :class:`~repro.sim.world.SimWorld`.
 
     ``on_deliver(actor_name, message)`` — optional hook called after
-    every processed user message (the world's delivery ledger);
-    ``on_dead_letter(target, message)`` — called on every dead letter.
+    the behaviour ran on a message, whether or not it raised (the
+    world's delivery ledger).
     """
 
     def __init__(self, name: str = "sim-system",
                  directive: SupervisionDirective =
                  SupervisionDirective.RESTART):
-        self.name = name
-        self.directive = directive
-        self._ids = 0                       # per-instance: replay-stable
-        self._cells: dict[str, _InlineCell] = {}   # by ref name, ordered
-        self.dead_letters: list[DeadLetter] = []
-        # real (uncontended) lock: the cluster node snapshots
-        # dead_letters under system._dl_lock
-        self._dl_lock = threading.Lock()
-        self._failures: list[tuple[str, BaseException]] = []
-        self.failure_listener: Optional[Any] = None
-        self.profiler = None
-        self.tracer = None
+        super().__init__(throughput=1, directive=directive, name=name)
+        self._ids = itertools.count(1)      # per-instance: replay-stable
         self.on_deliver: Optional[Callable[[str, Any], None]] = None
-        self.on_dead_letter: Optional[Callable[[str, Any], None]] = None
 
-    # ------------------------------------------------------------------
-    # the ActorSystem surface the cluster node uses
-    # ------------------------------------------------------------------
-    def spawn(self, actor_class: type, *args: Any, name: str = "",
-              directive: Optional[SupervisionDirective] = None,
-              **kwargs: Any) -> ActorRef:
-        if not issubclass(actor_class, Actor):
-            raise TypeError(f"{actor_class.__name__} is not an Actor "
-                            f"subclass")
-        actor = actor_class(*args, **kwargs)
-        self._ids += 1
-        ref_name = name or f"{actor_class.__name__.lower()}-{self._ids}"
-        if ref_name in self._cells and not self._cells[ref_name].stopped:
-            raise ValueError(f"actor {ref_name!r} already exists")
-        cell = _InlineCell(self, actor, ref_name, self._ids,
-                           directive=directive)
-        actor.context = ActorContext(self, cell.ref)
-        self._cells[ref_name] = cell
-        return cell.ref
+    def _new_executor(self, workers: int) -> _HeldJobs:
+        return _HeldJobs()
 
-    def stop(self, ref: ActorRef) -> None:
-        """Graceful stop: earlier mailbox entries process first."""
-        ref.tell(_InlineStop())
+    def pending(self) -> list[str]:
+        """Actor names with queued mail, in spawn order — the world
+        turns each into one schedulable decision."""
+        jobs = self._executor.jobs
+        return [name for name, cell in self._cells.items()
+                if cell.mailbox and cell.affinity in jobs]
 
-    def tell(self, ref: ActorRef, message: Any) -> None:
-        ref.tell(message, sender=None)
+    def process_one(self, name: str) -> bool:
+        """Deliver exactly one mailbox message to ``name``.
 
-    def set_directive(self, ref: ActorRef,
-                      directive: Optional[SupervisionDirective]) -> None:
-        cell = self._cells.get(ref.name)
-        if cell is not None:
-            cell.directive = directive
-
-    def failures(self) -> list[tuple[str, BaseException]]:
-        return list(self._failures)
-
-    def _dead_letter(self, target: str, message: Any,
-                     sender: Optional[ActorRef], ctx: Any = None) -> None:
-        with self._dl_lock:
-            self.dead_letters.append(DeadLetter(target, message, sender,
-                                                ctx))
-        if self.on_dead_letter is not None:
-            self.on_dead_letter(target, message)
-
-    def _quiet(self) -> bool:
-        return all(not c.mailbox for c in self._cells.values())
+        Returns False when there was nothing to process.  Everything
+        the handler does (tells, spawns, stops) happens synchronously
+        on the caller — new mail just queues for later decisions.
+        """
+        cell = self._cells.get(name)
+        if cell is None or not cell.mailbox:
+            return False
+        job = self._executor.jobs.pop(cell.affinity, None)
+        if job is None:
+            return False
+        message = cell.mailbox[0][0]
+        if job() and self.on_deliver is not None \
+                and not isinstance(message, _StopSignal):
+            self.on_deliver(name, message)
+        return True
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Pump every pending message to quiescence (no waiting)."""
@@ -156,88 +92,10 @@ class InlineActorSystem:
             guard -= 1
         return self._quiet()
 
+    def _quiet(self) -> bool:
+        return all(not c.mailbox for c in self._cells.values())
+
     def shutdown(self) -> None:
+        """Stop every live actor now, dead-lettering its queued mail."""
         for cell in list(self._cells.values()):
-            if not cell.stopped:
-                self._do_stop(cell)
-
-    @property
-    def actor_count(self) -> int:
-        return sum(1 for c in self._cells.values() if not c.stopped)
-
-    # ------------------------------------------------------------------
-    # the simulation pump
-    # ------------------------------------------------------------------
-    def pending(self) -> list[str]:
-        """Actor names with queued mail, in spawn order — the world
-        turns each into one schedulable decision."""
-        return [n for n, c in self._cells.items()
-                if c.mailbox and not c.stopped]
-
-    def process_one(self, name: str) -> bool:
-        """Deliver exactly one mailbox message to ``name``.
-
-        Returns False when there was nothing to process.  Everything
-        the handler does (tells, spawns, stops) happens synchronously
-        on the caller — new mail just queues for later decisions.
-        """
-        cell = self._cells.get(name)
-        if cell is None or cell.stopped or not cell.mailbox:
-            return False
-        actor = cell.actor
-        if not cell.started:
-            cell.started = True
-            try:
-                actor.pre_start()
-            except BaseException as exc:  # noqa: BLE001
-                self._on_failure(cell, exc, "<pre_start>")
-            if cell.stopped:          # STOP directive fired in pre_start
-                return True
-        message, sender = cell.mailbox.popleft()
-        if isinstance(message, _InlineStop):
-            self._do_stop(cell)
-            return True
-        context = actor.context
-        context.sender = sender
-        try:
-            actor.current_behaviour()(message, sender)
-        except BaseException as exc:  # noqa: BLE001
-            self._on_failure(cell, exc, message)
-        finally:
-            context.sender = None
-        if self.on_deliver is not None:
-            self.on_deliver(name, message)
-        return True
-
-    # ------------------------------------------------------------------
-    def _do_stop(self, cell: _InlineCell) -> None:
-        if cell.stopped:
-            return
-        cell._stopped = True
-        while cell.mailbox:
-            late, late_sender = cell.mailbox.popleft()
-            if not isinstance(late, _InlineStop):
-                self._dead_letter(cell.ref.name, late, late_sender)
-        try:
-            cell.actor.post_stop()
-        except BaseException:  # noqa: BLE001
-            pass
-
-    def _on_failure(self, cell: _InlineCell, error: BaseException,
-                    message: Any) -> None:
-        self._failures.append((cell.ref.name, error))
-        directive = cell.directive if cell.directive is not None \
-            else self.directive
-        if directive is SupervisionDirective.RESTART:
-            try:
-                cell.actor.pre_restart(error, message)
-            except BaseException:  # noqa: BLE001
-                pass
-        elif directive is SupervisionDirective.STOP:
-            self._do_stop(cell)
-        listener = self.failure_listener
-        if listener is not None:
-            try:
-                listener(cell.ref.name, error, directive)
-            except BaseException:  # noqa: BLE001
-                pass
+            cell._do_stop()

@@ -573,7 +573,7 @@ class SimWorld:
                 tuple((origin, tuple(sorted(owed.items())))
                       for origin, owed in
                       sorted(node._credit_owed.items())),
-                tuple((cell_name, cell.stopped,
+                tuple((cell_name,
                        tuple(zlib.crc32(repr(m).encode())
                              for m, _ in cell.mailbox))
                       for cell_name, cell in system._cells.items()),

@@ -234,6 +234,45 @@ class TestPatterns:
             with pytest.raises(TimeoutError):
                 ask(system, mute, "anyone?", timeout=0.1)
 
+    def test_ask_repeats_on_one_system(self):
+        """Back-to-back asks, and an ask after a timed-out one, each get
+        their own reply collector."""
+        class Mute(Actor):
+            def receive(self, message, sender):
+                pass
+        with ActorSystem(workers=2) as system:
+            echo = system.spawn(Echo, name="echo")
+            mute = system.spawn(Mute, name="mute")
+            assert ask(system, echo, 1) == ("echo", 1)
+            assert ask(system, echo, 2) == ("echo", 2)
+            with pytest.raises(TimeoutError):
+                ask(system, mute, "anyone?", timeout=0.05)
+            assert ask(system, echo, 3) == ("echo", 3)
+            assert system.failures() == []
+            assert system.drain(timeout=5)
+            assert system.actor_count == 2    # every collector stopped
+
+    def test_concurrent_asks_from_two_threads(self):
+        with ActorSystem(workers=2) as system:
+            echo = system.spawn(Echo, name="echo")
+            replies, errors = {}, []
+
+            def asker(tag):
+                try:
+                    replies[tag] = [ask(system, echo, (tag, i))
+                                    for i in range(20)]
+                except Exception as exc:   # pragma: no cover - failure path
+                    errors.append(exc)
+            threads = [threading.Thread(target=asker, args=(t,))
+                       for t in ("a", "b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        assert errors == []
+        for tag in ("a", "b"):
+            assert replies[tag] == [("echo", (tag, i)) for i in range(20)]
+
 
 class TestSimActors:
     def test_all_message_orders_enumerable(self):

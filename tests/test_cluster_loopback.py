@@ -128,6 +128,20 @@ def test_spawn_remote_and_status(pair):
     assert status["peers"]["a"] == PeerState.ALIVE
 
 
+def test_spawn_rejects_a_live_duplicate_name(pair):
+    """A second live actor under a taken name would orphan the first:
+    alive and counted, but no longer reachable by its path."""
+    hub, a, b, clock = pair
+    first = b.spawn(Recorder, name="x")
+    count = b.system.actor_count
+    with pytest.raises(ValueError):
+        b.spawn(Recorder, name="x")
+    assert b.system.actor_count == count
+    a.ref("b/x").tell("hi")
+    assert b.drain(timeout=5)
+    assert _actor(first).got == ["hi"]
+
+
 # ---------------------------------------------------------------------------
 # at-least-once wire + exactly-once actor delivery
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ future change breaks the detection channel, these fail even though the
 fix itself is still in place.
 """
 
+import pytest
+
 from repro.cluster import delivery
 from repro.cluster.node import ClusterNode, PeerState
 from repro.obs.protocol import Protocol, ProtocolMonitor
@@ -80,6 +82,33 @@ class TestExploreWorlds:
         res, kinds = explore_kinds("crash_rejoin", max_runs=80,
                                    detectors=detectors)
         assert [k for k in kinds if k.startswith("protocol")] == []
+
+
+#: per scenario: the seed-0 ``run_world`` digest and the
+#: ``explore_world(max_runs=150)`` (runs, decisions, pruned_runs) — a
+#: change to actor dispatch, the hub or the decision surface that
+#: shifts any schedule shows up here before it shows up as a flaky pin
+GOLDEN = {
+    "skip_resync": ("ca17dd462b272325", (150, 4503, 144)),
+    "credit_return": ("d6b634834d0fbfe6", (150, 2403, 144)),
+    "recovery_remint": ("469ae601d96f9ee4", (150, 2857, 127)),
+    "eviction": ("2d191b09fccc0624", (150, 4730, 55)),
+    "dup_delivery": ("12eb7f5a9960cf85", (150, 3153, 144)),
+    "chaos": ("9c80b2bec3c8abff", (150, 5404, 140)),
+    "crash_rejoin": ("7ebfd627531d97a7", (150, 14391, 148)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_sim_signature(name):
+    """Replay digests and exploration counts stay byte-identical."""
+    sc = get(name)
+    digest, counts = GOLDEN[name]
+    assert run_world(sc.factory(0), seed=0,
+                     budget=sc.budget).digest() == digest
+    res = explore_world(sc.factory(0), budget=sc.budget, max_runs=150)
+    assert (res.runs, res.decisions, res.pruned_runs) == counts
+    assert res.hazards == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Everything here is single-threaded and virtual-time — tier 1.
 
 import pytest
 
-from repro.actors import Actor
+from repro.actors import Actor, SupervisionDirective
 from repro.cluster.message import TELL
 from repro.obs.monitors import MonitorBus
 from repro.sim import (InlineActorSystem, SimClock, SimWorld, run_world,
@@ -22,6 +22,20 @@ class Recorder(Actor):
 
     def receive(self, message, sender):
         self.got.append(message)
+
+
+class Touchy(Recorder):
+    """Records, then raises, on ``"boom"``."""
+
+    def receive(self, message, sender):
+        super().receive(message, sender)
+        if message == "boom":
+            raise RuntimeError("boom")
+
+
+class NeverStarts(Recorder):
+    def pre_start(self):
+        raise RuntimeError("no start")
 
 
 def two_node_world(bus=None, horizon=10.0, **cfg):
@@ -62,10 +76,10 @@ class TestInlineSystem:
         sys_ = InlineActorSystem()
         ref = sys_.spawn(Recorder, name="r")
         ref.tell("x")
-        assert sys_._cells["r"].actor.got == []
+        assert ref._cell.actor.got == []
         assert sys_.pending() == ["r"]
         assert sys_.process_one("r")
-        assert sys_._cells["r"].actor.got == ["x"]
+        assert ref._cell.actor.got == ["x"]
         assert not sys_.process_one("r")
 
     def test_stop_dead_letters_late_mail(self):
@@ -76,8 +90,26 @@ class TestInlineSystem:
         ref.tell("late")
         while sys_.pending():
             sys_.process_one(sys_.pending()[0])
-        assert sys_._cells["r"].actor.got == ["early"]
+        assert ref._cell.actor.got == ["early"]
         assert [dl.message for dl in sys_.dead_letters] == ["late"]
+
+    def test_on_deliver_fires_only_when_the_behaviour_ran(self):
+        """The ledger hook counts a raising handler run, but neither a
+        stop pill nor mail dead-lettered by a STOP in ``pre_start``."""
+        seen = []
+        sys_ = InlineActorSystem(directive=SupervisionDirective.RESUME)
+        sys_.on_deliver = lambda name, msg: seen.append((name, msg))
+        touchy = sys_.spawn(Touchy, name="t")
+        touchy.tell("a")
+        touchy.tell("boom")
+        sys_.stop(touchy)
+        stillborn = sys_.spawn(NeverStarts, name="n",
+                               directive=SupervisionDirective.STOP)
+        stillborn.tell("lost")
+        assert sys_.drain()
+        assert seen == [("t", "a"), ("t", "boom")]
+        assert stillborn._cell.actor.got == []
+        assert [dl.message for dl in sys_.dead_letters] == ["lost"]
 
     def test_actor_names_are_replay_stable(self):
         names = []
@@ -94,11 +126,11 @@ class TestInlineSystem:
 class TestSimHub:
     def test_frames_queue_until_delivered(self):
         w = two_node_world()
-        w.spawn("b", Recorder, name="r")
+        ref = w.spawn("b", Recorder, name="r")
         w.track("m1", "b/r")
         w.nodes["a"].ref("b/r").tell("m1")
         assert w.hub.in_flight() == [("a", "b", 1)]
-        recorder = w.systems["b"]._cells["r"].actor
+        recorder = ref._cell.actor
         assert recorder.got == []
         w.hub.deliver_next("a", "b")
         w.systems["b"].process_one("r")
