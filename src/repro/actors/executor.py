@@ -18,12 +18,19 @@ work-stealing arrangement:
 * **randomized FIFO stealing** — a worker that runs dry scans the other
   deques from a random start and takes the *oldest* task of the first
   non-empty victim, so stolen work is the work that waited longest;
-* **parked-worker wakeup protocol** — idle workers park on a private
-  ``Event``.  A parker registers itself in the parked list *before*
+* **parked-worker wakeup protocol** — an idle worker parks on a
+  private raw ``_thread`` lock used as a binary semaphore (held = no
+  wakeup pending): ``acquire(True, PARK_TIMEOUT)`` parks, a waker's
+  ``release()`` wakes, and no Python-level ``Condition`` runs as under
+  an ``Event``.  A parker registers itself in the parked list *before*
   re-checking every deque, and submitters enqueue *before* consulting
   the parked list; whichever side loses the race still observes the
   other's write, so no task is stranded (the classic lost-wakeup
-  interleaving is impossible, and a bounded wait backstops the proof);
+  interleaving is impossible, and a bounded wait backstops the proof).
+  A waker pops and releases in one ``park_lock`` hold, so a worker
+  that leaves the list on its own and finds itself popped takes the
+  token back: no stale wakeup reaches the next park, and no lock is
+  released twice;
 * **affinity** — external submits hash a stable key (the actor id) to a
   home worker, so a hot actor's cell keeps landing on the same thread
   instead of bouncing between caches, while stealing still rebalances
@@ -49,6 +56,7 @@ profiling is off.
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import random
 import threading
@@ -92,14 +100,16 @@ class _CtxTask:
 class _Worker:
     """One worker thread and its task deque."""
 
-    __slots__ = ("idx", "tasks", "event", "thread", "rng", "busy",
+    __slots__ = ("idx", "tasks", "wake", "thread", "rng", "busy",
                  "executed", "steals", "parks", "local_hits")
 
     def __init__(self, idx: int, name: str):
         self.idx = idx
         #: right end = local LIFO side, left end = steal/fair-FIFO side
         self.tasks: deque[Callable[[], Any]] = deque()
-        self.event = threading.Event()
+        #: binary semaphore: held = no wakeup pending, released = one
+        self.wake = _thread.allocate_lock()
+        self.wake.acquire()
         self.rng = random.Random(idx * 2654435761 + 1)
         #: True from just before a dequeue attempt until the task (if
         #: any) finished — read by idle() to cover the in-flight window
@@ -206,11 +216,13 @@ class WorkStealingExecutor:
         self._tls.worker = w
         tasks = w.tasks
         while True:
-            w.busy = True            # before the pop: idle() must never
-            task = None              # miss a task that left the deque
+            # busy before the pop: idle() must never miss a task that
+            # left the deque.  Test before popping, so an idle worker
+            # reaches its park without raising
+            w.busy = True
             try:
-                task = tasks.pop()
-            except IndexError:
+                task = tasks.pop() if tasks else self._steal(w)
+            except IndexError:       # a thief emptied it since the test
                 task = self._steal(w)
             if task is None:
                 w.busy = False
@@ -233,14 +245,16 @@ class WorkStealingExecutor:
         n = self._n
         if n == 1:
             return None
-        start = w.rng.randrange(n)
+        workers = self._workers
+        # with two workers there is one victim: no random start needed
+        start = w.rng.randrange(n) if n > 2 else 0
         for k in range(n):
-            victim = self._workers[(start + k) % n]
-            if victim is w:
+            victim = workers[(start + k) % n]
+            if victim is w or not victim.tasks:
                 continue
             try:
                 task = victim.tasks.popleft()   # oldest waits longest
-            except IndexError:
+            except IndexError:                  # emptied since the test
                 continue
             w.steals += 1
             if self.profiler is not None:
@@ -249,6 +263,9 @@ class WorkStealingExecutor:
         return None
 
     def _park(self, w: _Worker) -> None:
+        """Block on ``w.wake`` until a submitter releases it, or for at
+        most :attr:`PARK_TIMEOUT`.  One ``park_lock`` hop to register;
+        a woken worker needs none to leave (its waker popped it)."""
         with self._park_lock:
             if self._shut:
                 return
@@ -256,30 +273,34 @@ class WorkStealingExecutor:
         # re-check *after* registering: any submit that missed us in the
         # parked list happened before our registration, so its task is
         # visible to this scan — the lost-wakeup window is closed
-        if any(v.tasks for v in self._workers):
-            with self._park_lock:
-                try:
-                    self._parked.remove(w)
-                except ValueError:
-                    pass           # a waker already popped us
-            w.event.clear()        # consume any signal aimed at us
-            return
+        for v in self._workers:
+            if v.tasks:
+                self._unpark(w)
+                return
         w.parks += 1
         if self.profiler is not None:
             self.profiler.inc("executor.parks")
-        w.event.wait(self.PARK_TIMEOUT)
-        w.event.clear()
+        if not w.wake.acquire(True, self.PARK_TIMEOUT):
+            self._unpark(w)
+
+    def _unpark(self, w: _Worker) -> None:
+        """Leave the parked list without having taken a wakeup."""
         with self._park_lock:
-            try:
+            if w in self._parked:
                 self._parked.remove(w)
-            except ValueError:
-                pass
+            else:
+                # a waker popped us and released in the same hold of
+                # the lock, so the token is there: take it back, or the
+                # next park would return at once
+                w.wake.acquire(False)
+
     # ------------------------------------------------------------------
     def _wake_one(self) -> None:
+        # pop and release under one hold: a popped worker's token is
+        # always in place by the time it can look (see _unpark)
         with self._park_lock:
-            w = self._parked.pop() if self._parked else None
-        if w is not None:
-            w.event.set()
+            if self._parked:
+                self._parked.pop().wake.release()
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -304,9 +325,8 @@ class WorkStealingExecutor:
         """Stop accepting work; workers drain what is queued and exit."""
         self._shut = True
         with self._park_lock:
-            parked, self._parked = self._parked, []
-        for w in parked:
-            w.event.set()
+            while self._parked:
+                self._parked.pop().wake.release()
         if wait:
             for w in self._workers:
                 if w.thread is not None and w.thread is not \

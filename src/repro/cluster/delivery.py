@@ -59,7 +59,13 @@ class _Pending:
 
 
 class Outbox:
-    """Unacknowledged reliable envelopes for one destination node."""
+    """Unacknowledged reliable envelopes for one destination node.
+
+    Seqs must be registered in increasing order (the node registers
+    under the lock that hands them out), so ``_pending`` stays sorted:
+    a cumulative ACK retires a prefix and :meth:`on_ack` stops at the
+    first seq above it.
+    """
 
     def __init__(self, policy: Optional[RetryPolicy] = None):
         self.policy = policy if policy is not None else RetryPolicy()
@@ -87,16 +93,25 @@ class Outbox:
     def on_ack(self, cum_seq: int) -> int:
         """Retire every pending seq <= ``cum_seq``; returns how many."""
         with self._lock:
-            done = [s for s in self._pending if s <= cum_seq]
-            exhausted = 0
-            for s in done:
-                if self._pending[s].attempts >= self.policy.max_attempts:
-                    exhausted += 1
-                del self._pending[s]
-            self._exhausted -= exhausted
-            if not self._pending:
+            pending = self._pending
+            if pending and next(reversed(pending)) <= cum_seq:
+                retired = len(pending)  # the whole window is acked
+                pending.clear()
+                self._exhausted = 0
+            else:
+                done = []
+                for s in pending:      # ascending: the acked prefix
+                    if s > cum_seq:
+                        break
+                    done.append(s)
+                limit = self.policy.max_attempts
+                for s in done:
+                    if pending.pop(s).attempts >= limit:
+                        self._exhausted -= 1
+                retired = len(done)
+            if not pending:
                 self._min_due = float("inf")
-            return len(done)
+            return retired
 
     def due(self, now: float) -> list[Any]:
         """Envelopes to retransmit now (attempt counts already bumped)."""
@@ -133,6 +148,8 @@ class Outbox:
                     out.append(pend.envelope)
                     del self._pending[seq]
                     self._exhausted -= 1
+            if not self._pending:
+                self._min_due = float("inf")
         return out
 
     def drain(self) -> list[Any]:
@@ -200,6 +217,13 @@ class CreditGate:
     envelopes as the receiver admits messages into the bounded remote
     mailbox.  ``parked`` counts threads currently blocked in
     :meth:`acquire` (observability + the saturation detector).
+
+    Fast path: the gate's ``Condition`` is built on a plain lock, and
+    :meth:`acquire` and :meth:`release` take that lock directly.  A
+    sender that finds a credit never touches the ``Condition``; only a
+    sender that must park waits on it (still holding the same lock),
+    and :meth:`release` notifies only when someone is parked.
+    :attr:`available` is a lock-free read.
     """
 
     def __init__(self, window: int,
@@ -208,7 +232,8 @@ class CreditGate:
             raise ValueError("credit window must be >= 1")
         self.window = window
         self._available = window
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._broken: Optional[str] = None
         # timeout deadlines come off this clock, so a node running on a
         # simulated clock times out on simulated time
@@ -224,7 +249,7 @@ class CreditGate:
         never parks: it fails immediately when no credit is available
         (the simulator's fail-fast mode).
         """
-        with self._cond:
+        with self._lock:
             if self._available > 0 and self._broken is None:
                 self._available -= 1
                 return True
@@ -249,9 +274,10 @@ class CreditGate:
             return True
 
     def release(self, n: int = 1) -> None:
-        with self._cond:
+        with self._lock:
             self._available = min(self.window, self._available + n)
-            self._cond.notify_all()
+            if self.parked:      # counted under this lock by parkers
+                self._cond.notify_all()
 
     def brk(self, reason: str) -> None:
         """Fail the gate: wake every parked sender with a refusal."""
@@ -265,5 +291,4 @@ class CreditGate:
 
     @property
     def available(self) -> int:
-        with self._cond:
-            return self._available
+        return self._available     # one int read: atomic under the GIL

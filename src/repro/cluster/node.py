@@ -768,18 +768,6 @@ class ClusterNode:
                        payload: Any, sender: Optional[str] = None,
                        waiter: Optional[_Waiter] = None,
                        ctx: Any = None) -> int:
-        with self._state_lock:
-            seq = self._seq.get(dest, 0) + 1
-            self._seq[dest] = seq
-            outbox = self._outboxes.get(dest)
-            if outbox is None:
-                outbox = self._outboxes[dest] = \
-                    Outbox(self.config.retry_policy())
-            self._peers.setdefault(dest, PeerState(dest, self.clock()))
-            if waiter is not None:
-                # registered before the frame leaves: loopback delivery
-                # is synchronous, so the REPLY can arrive mid-send
-                self._replies[(dest, seq)] = waiter
         ectx = None
         trc = self.tracer
         if trc is not None and kind == TELL:
@@ -789,9 +777,25 @@ class ClusterNode:
             c = ctx if ctx is not None else getattr(trc.tls, "ctx", None)
             if c is not None:
                 ectx = (c.request_id, c.span_id, trc.clock())
-        env = Envelope(kind, seq, self.name, target, payload=payload,
-                       sender=sender, ctx=ectx)
-        outbox.register(seq, env, self.clock())
+        with self._state_lock:
+            seq = self._seq.get(dest, 0) + 1
+            self._seq[dest] = seq
+            outbox = self._outboxes.get(dest)
+            if outbox is None:
+                outbox = self._outboxes[dest] = \
+                    Outbox(self.config.retry_policy())
+            if dest not in self._peers:   # first send on this link only
+                self._peers[dest] = PeerState(dest, self.clock())
+            if waiter is not None:
+                # registered before the frame leaves: loopback delivery
+                # is synchronous, so the REPLY can arrive mid-send
+                self._replies[(dest, seq)] = waiter
+            env = Envelope(kind, seq, self.name, target, payload=payload,
+                           sender=sender, ctx=ectx)
+            # registered under the lock that took the seq, so every
+            # outbox sees its seqs in ascending order (Outbox.on_ack
+            # relies on it); the outbox lock never takes _state_lock
+            outbox.register(seq, env, self.clock())
         self._transmit(dest, env)
         if kind == TELL:
             if self._evt_on and not (seq & self._evt_mask):
@@ -1001,9 +1005,9 @@ class ClusterNode:
                staged: bool = False) -> None:
         sender = None
         if env.sender is not None:
-            sender_node = split_path(env.sender)[0]
+            sender_node, sender_name = split_path(env.sender)
             if sender_node == self.name:
-                sender = self._actors.get(split_path(env.sender)[1])
+                sender = self._actors.get(sender_name)
             if sender is None:
                 sender = self._remote_refs.get(env.sender)
                 if sender is None:       # benign race: refs compare by path

@@ -184,8 +184,10 @@ class LoopbackHub:
         with self._lock:
             if dst not in self._nodes:
                 return -1
-            if src in self._cut or dst in self._cut \
-                    or frozenset((src, dst)) in self._partitions:
+            # armed faults only: no frozenset per frame on a clean hub
+            if (self._cut or self._partitions) and (
+                    src in self._cut or dst in self._cut
+                    or frozenset((src, dst)) in self._partitions):
                 self.dropped[(src, dst)] = \
                     self.dropped.get((src, dst), 0) + 1
                 return 0         # link exists; the frame just vanishes

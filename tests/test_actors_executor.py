@@ -8,6 +8,7 @@ stale ``scheduled`` flag — plus the executor's own contract (LIFO local
 submit, fair requeue, rejection after shutdown, stats counters).
 """
 
+import sys
 import threading
 import time
 import tracemalloc
@@ -135,6 +136,153 @@ class TestWorkStealingExecutor:
         # once worker 1 finds worker 0's backlog
         assert prof.get("executor.parks") >= 1
         assert prof.get("executor.steals") == ex.stats["steals"]
+
+
+class _Inert(WorkStealingExecutor):
+    """An executor whose worker threads exit at once, so a test can
+    drive ``_park`` / ``_wake_one`` on a worker by hand."""
+
+    def _loop(self, w):
+        pass
+
+
+def _parks_until_woken(ex, w):
+    """Start ``ex._park(w)`` on a thread and give it 0.2 s; the thread
+    is still alive if it parked (the backstop is 30 s, so only a
+    wakeup ends it)."""
+    t = threading.Thread(target=ex._park, args=(w,), daemon=True)
+    t.start()
+    t.join(0.2)
+    return t
+
+
+class TestParkAndWake:
+    """The raw-lock park: every cross-thread handoff is woken by its
+    submitter, never by the ``PARK_TIMEOUT`` backstop."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cross_executor_ping_pong_never_needs_the_backstop(
+            self, workers):
+        """Two executors bounce 2,000 round trips through foreign-thread
+        submits.  With the backstop at 30 s, one lost wakeup would
+        stall the run past its 10 s budget.  A tiny GIL switch interval
+        makes threads interleave inside the idle path, where a lost
+        wakeup would hide; one worker each leaves no thief to cover."""
+        old_interval = sys.getswitchinterval()
+        n = 2000
+        done = threading.Event()
+        a = WorkStealingExecutor(workers=workers, name="ping")
+        b = WorkStealingExecutor(workers=workers, name="pong")
+        sys.setswitchinterval(1e-5)
+        try:
+            for ex in (a, b):
+                ex.PARK_TIMEOUT = 30.0
+            time.sleep(0.1)       # every worker re-parks on the 30 s wait
+
+            def ping(k):
+                if k == n:
+                    done.set()
+                else:
+                    b.submit(lambda: pong(k))
+
+            def pong(k):
+                a.submit(lambda: ping(k + 1))
+
+            t0 = time.monotonic()
+            a.submit(lambda: ping(0))
+            assert done.wait(10), "a handoff fell back on the backstop"
+            assert time.monotonic() - t0 < 10
+            # the handoffs really parked and were really woken
+            assert a.stats["parks"] > 0 and b.stats["parks"] > 0
+        finally:
+            sys.setswitchinterval(old_interval)
+            a.shutdown(wait=True)
+            b.shutdown(wait=True)
+
+    def test_shutdown_wakes_parked_workers(self):
+        ex = WorkStealingExecutor(workers=3)
+        ex.PARK_TIMEOUT = 30.0
+        deadline = time.monotonic() + 5
+        while len(ex._parked) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)           # past the first 50 ms parks
+        assert len(ex._parked) == 3
+        t0 = time.monotonic()
+        ex.shutdown(wait=True)
+        assert time.monotonic() - t0 < 2
+        assert all(not w.thread.is_alive() for w in ex._workers)
+        assert ex._parked == []
+
+    def test_submit_that_missed_the_parked_list_is_seen_by_the_recheck(
+            self):
+        """A submit that enqueued while the worker was between its last
+        scan and its registration found nobody parked, so it woke no
+        one; the re-check after registering must find its task rather
+        than sleep on the backstop."""
+        ex = _Inert(workers=1)
+        ex.PARK_TIMEOUT = 30.0
+        w = ex._workers[0]
+        w.tasks.append(lambda: None)     # enqueued, nobody woken
+        t = threading.Thread(target=ex._park, args=(w,), daemon=True)
+        t.start()
+        t.join(2)
+        assert not t.is_alive(), "parked on a queued task"
+        assert ex._parked == []
+        assert not w.wake.acquire(False)
+        ex.shutdown(wait=True)
+
+    def test_stale_wake_after_recheck_is_taken_back(self):
+        """A worker finds work on its re-check, and a submitter's wake
+        lands after that: no RuntimeError, no token left behind, and
+        the next park still blocks until it is woken."""
+        ex = _Inert(workers=1)
+        ex.PARK_TIMEOUT = 30.0
+        w = ex._workers[0]
+        unpark = ex._unpark
+
+        def late_waker(worker):
+            ex._wake_one()        # pops the worker and releases its lock
+            unpark(worker)
+
+        ex._unpark = late_waker
+        w.tasks.append(lambda: None)
+        ex._park(w)               # re-check sees the task: no blocking
+        del ex._unpark
+        w.tasks.clear()
+        assert ex._parked == []
+        assert not w.wake.acquire(False), "stale token left behind"
+        ex._wake_one()            # nobody parked: a harmless no-op
+        t = _parks_until_woken(ex, w)
+        assert t.is_alive(), "the next park returned without a wake"
+        ex._wake_one()
+        t.join(2)
+        assert not t.is_alive()
+        assert ex._parked == []
+        ex.shutdown(wait=True)
+
+    def test_wake_racing_a_timeout_is_taken_back(self):
+        """A waker pops a worker whose park just timed out: the token it
+        released is consumed, so the worker's next park blocks."""
+        ex = _Inert(workers=1)
+        ex.PARK_TIMEOUT = 0.01
+        w = ex._workers[0]
+        unpark = ex._unpark
+
+        def waker_after_timeout(worker):
+            ex._wake_one()
+            unpark(worker)
+
+        ex._unpark = waker_after_timeout
+        ex._park(w)               # times out, then the wake lands
+        del ex._unpark
+        assert ex._parked == []
+        ex.PARK_TIMEOUT = 30.0
+        t = _parks_until_woken(ex, w)
+        assert t.is_alive()
+        ex._wake_one()
+        t.join(2)
+        assert not t.is_alive()
+        ex.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------

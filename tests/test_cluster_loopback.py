@@ -400,6 +400,58 @@ def test_expired_tell_releases_its_credit(pair):
     assert gate.available == a.config.credit_window
 
 
+class _CountingCondition:
+    """Stands in for a gate's ``Condition`` and counts every use of it:
+    entries, waits and notifies."""
+
+    def __init__(self, cond):
+        self.cond = cond
+        self.entries = 0
+
+    def __enter__(self):
+        self.entries += 1
+        return self.cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self.cond.__exit__(*exc)
+
+    def __getattr__(self, name):            # wait / notify / notify_all
+        self.entries += 1
+        return getattr(self.cond, name)
+
+
+def test_steady_state_send_builds_no_peer_state_nor_enters_gate_condition(
+        pair, monkeypatch):
+    """Past the first message on a link, a remote send with credit in
+    hand constructs no ``PeerState`` and never enters the credit gate's
+    ``Condition``: the gate's plain-lock fast path takes the credit,
+    and a release with nobody parked notifies no one."""
+    hub, a, b, clock = pair
+    sink = b.spawn(Recorder, name="sink")
+    ref = a.ref("b/sink")
+    ref.tell(0)                            # first message on the link
+    _settle(a, b)
+    built = []
+    init = PeerState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeerState, "__init__", counting_init)
+    gate = a._gate("b/sink")
+    cond = gate._cond = _CountingCondition(gate._cond)
+    for i in range(1, 7):                  # within the 8-credit window
+        assert gate.available > 0
+        ref.tell(i)
+        _settle(a, b, rounds=2)
+    assert b.drain(timeout=5)
+    assert _actor(sink).got == list(range(7))
+    assert built == []
+    assert cond.entries == 0
+    assert gate.total_parks == 0
+
+
 def test_long_down_peer_state_is_evicted():
     clock = [0.0]
     hub = LoopbackHub()

@@ -8,6 +8,8 @@ in-memory units — no sockets, no threads except where the gate's
 blocking semantics are the thing under test.
 """
 
+import random
+import sys
 import threading
 import time
 
@@ -141,6 +143,72 @@ def test_outbox_cumulative_ack_retires_prefix():
     assert box.due(100.0) == []            # empty fast path
 
 
+def test_outbox_ack_retires_only_the_prefix_among_due_expired_drain():
+    """Seeded random mix of register/on_ack/due/expired/drain against a
+    plain reference model.  Every call returns what the model says;
+    ``len()`` and ``_exhausted`` match it after every step; ``_min_due``
+    is never above the true earliest deadline (so ``due`` cannot miss
+    one), equals it after every ``due`` that scans, and is inf when
+    empty."""
+    policy = RetryPolicy(base_timeout=1.0, factor=2.0, max_attempts=3)
+    box = Outbox(policy)
+    model: dict[int, list] = {}          # seq -> [attempts, next_due]
+    rng = random.Random(7)
+    seq = 0
+    now = 0.0
+    emptied = 0                          # expiries that emptied the box
+    for step in range(3000):
+        op = rng.random()
+        now += rng.choice((0.0, 0.25, 0.5, 1.0))
+        if (step // 40) % 2:             # quiet stretch: no new sends
+            op = 0.3 + 0.7 * op
+        if op < 0.3:
+            burst = [seq + k + 1 for k in range(rng.randint(1, 3))]
+            seq = burst[-1]
+            for s in burst:
+                box.register(s, _env(s), now)
+                model[s] = [1, now + policy.deadline_after(1)]
+        elif op < 0.45:
+            cum = rng.randint(seq - 8, seq)
+            retired = [s for s in model if s <= cum]
+            assert box.on_ack(cum) == len(retired)
+            for s in retired:
+                del model[s]
+        elif op < 0.75:
+            want = []
+            for s in sorted(model):
+                pend = model[s]
+                if pend[1] <= now and pend[0] < policy.max_attempts:
+                    pend[0] += 1
+                    pend[1] = now + policy.deadline_after(pend[0])
+                    want.append(s)
+            scans = now >= box._min_due      # else the fast path returns
+            assert [e.seq for e in box.due(now)] == want
+            if scans:
+                assert box._min_due == min(
+                    (p[1] for p in model.values()), default=float("inf"))
+        elif op < 0.97:
+            want = [s for s in sorted(model)
+                    if model[s][0] >= policy.max_attempts
+                    and model[s][1] <= now]
+            assert [e.seq for e in box.expired(now)] == want
+            for s in want:
+                del model[s]
+            emptied += bool(want) and not model
+        else:
+            assert [e.seq for e in box.drain()] == sorted(model)
+            model.clear()
+        assert len(box) == len(model)
+        assert list(box._pending) == sorted(model)
+        assert box._exhausted == sum(
+            1 for p in model.values() if p[0] >= policy.max_attempts)
+        if model:
+            assert box._min_due <= min(p[1] for p in model.values())
+        else:
+            assert box._min_due == float("inf")
+    assert emptied and box.retries
+
+
 def test_outbox_drain_returns_everything_in_order():
     box = Outbox()
     for s in (3, 1, 2):
@@ -216,6 +284,46 @@ def test_gate_brk_refuses_parked_and_future_senders():
     assert results == [False]
     assert g.broken == "node down"
     assert g.acquire(timeout=0) is False   # broken gates stay broken
+
+
+def test_gate_conserves_credits_under_contention():
+    """Six senders share a 2-credit window with a shortened GIL switch
+    interval: never more than two hold a credit at once, no parked
+    sender misses its wakeup (it would sit out the 5 s timeout and
+    fail), and every credit is back at the end."""
+    g = CreditGate(2)
+    guard = threading.Lock()
+    holders = [0, 0]                     # current, peak
+    failures = []
+
+    def sender():
+        for _ in range(300):
+            if not g.acquire(timeout=5):
+                failures.append("timed out")
+                return
+            with guard:
+                holders[0] += 1
+                holders[1] = max(holders)
+            time.sleep(0)                # let others contend meanwhile
+            with guard:
+                holders[0] -= 1
+            g.release()
+
+    threads = [threading.Thread(target=sender) for _ in range(6)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert holders[0] == 0 and holders[1] <= 2
+    assert g.available == 2 and g.parked == 0
+    assert g.total_parks > 0             # the slow path really ran
 
 
 def test_gate_rejects_invalid_window():
