@@ -177,6 +177,14 @@ def _cmd_outputs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from .pseudocode import compile_program
     from .verify import explore
@@ -938,7 +946,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="parallel subtree exploration processes")
     p_check.add_argument("--progress", action="store_true",
                          help="stream live exploration stats to stderr")
-    p_check.add_argument("--progress-every", type=int, default=200,
+    p_check.add_argument("--progress-every", type=_positive_int, default=200,
                          help="runs between progress lines (default 200)")
     p_check.set_defaults(fn=_cmd_check)
 

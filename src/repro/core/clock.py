@@ -59,17 +59,23 @@ class VectorClock:
     # -- construction ---------------------------------------------------
     def tick(self, pid: int) -> "VectorClock":
         """Return a new clock with ``pid``'s component incremented."""
-        v = dict(self._v)
+        v = self._v.copy()
         v[pid] = v.get(pid, 0) + 1
-        return VectorClock(v)
+        return _wrap(v)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise maximum — the receive rule (without the local tick)."""
-        v = dict(self._v)
+        """Pointwise maximum — the receive rule (without the local tick).
+
+        Returns ``self`` when ``other`` adds nothing (clocks are
+        immutable, so sharing is safe)."""
+        mine = self._v
+        v = None
         for pid, t in other._v.items():
-            if t > v.get(pid, 0):
+            if t > mine.get(pid, 0):
+                if v is None:
+                    v = mine.copy()
                 v[pid] = t
-        return VectorClock(v)
+        return self if v is None else _wrap(v)
 
     # -- comparison (happens-before) -------------------------------------
     def __le__(self, other: "VectorClock") -> bool:
@@ -103,3 +109,10 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(self._v.items()))
         return f"VC{{{inner}}}"
+
+
+def _wrap(v: dict[int, int]) -> VectorClock:
+    """A clock owning ``v`` as-is: the single copy tick/merge made."""
+    vc = object.__new__(VectorClock)
+    vc._v = v
+    return vc

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transition:
     """One enabled step the scheduler could take next.
 
@@ -48,6 +48,9 @@ class Transition:
     their mailbox, choices nothing.  ``None`` means *unknown* (a
     ``"run"`` resume may do anything), which reduction-aware policies
     must treat as conflicting with everything.
+
+    ``__init__`` is written out for speed, like
+    :class:`~repro.core.trace.TraceEvent`'s.
     """
 
     task: Task
@@ -55,6 +58,13 @@ class Transition:
     payload: Any = None
     payload_index: int = -1
     footprint: Optional[frozenset] = None
+
+    def __init__(self, task: Task, kind: str = "run", payload: Any = None,
+                 payload_index: int = -1,
+                 footprint: Optional[frozenset] = None) -> None:
+        self.__dict__.update(task=task, kind=kind, payload=payload,
+                             payload_index=payload_index,
+                             footprint=footprint)
 
     def describe(self) -> str:
         if self.kind == "run":

@@ -42,6 +42,11 @@ from .trace import Trace, TraceEvent
 
 __all__ = ["Scheduler", "run_tasks"]
 
+_READY = TaskState.READY
+_BLOCKED_ACQUIRE = TaskState.BLOCKED_ACQUIRE
+_BLOCKED_RECEIVE = TaskState.BLOCKED_RECEIVE
+_SLEEPING = TaskState.SLEEPING
+
 #: generous default so runaway programs fail loudly instead of hanging
 DEFAULT_MAX_STEPS = 200_000
 
@@ -94,6 +99,14 @@ class Scheduler:
         returns normally.  Guarded by the same single ``is None`` test
         as ``metrics`` — detectors observe the event stream only and
         can never perturb scheduling, fingerprints or sleep sets.
+
+    Task bookkeeping: :meth:`spawn` stamps each task with its
+    spawn-order index (``task.ltid``, the replay-stable identity that
+    traces and fingerprints use), and a task's ``"run"`` transition is
+    built once and reused at every step it is enabled.  The scheduler
+    counts unfinished tasks (``spawn`` adds one, ``_finish``/``_fail``
+    drop one) and sleeping tasks, so ending a run is one test and the
+    sleep timers are not scanned while nobody sleeps.
     """
 
     def __init__(self,
@@ -126,9 +139,15 @@ class Scheduler:
         self._ran = False
         #: task tid -> spawn-order index (replay-stable identity)
         self._ltids: dict[int, int] = {}
-        #: id(lock/mailbox/monitor) -> (first-use index, object)
-        self._objects: dict[int, tuple[int, Any]] = {}
-        self._sleepers_active = False
+        #: id(lock/mailbox/monitor) -> (first-use index, object, stable
+        #: write footprint); insertion order is first-use order
+        self._objects: dict[int, tuple[int, Any, frozenset]] = {}
+        #: tasks not yet DONE/FAILED — the run is over at 0
+        self._live = 0
+        #: tasks in SLEEPING — sleep timers only tick while it is > 0
+        self._sleeping = 0
+        #: repr of every emitted value, built once by Emit (fingerprints)
+        self._output_reprs: list[str] = []
         #: any Access effect executed — user shared state exists
         self._access_seen = False
         #: spawn-order id of the previously executed task (ctx switches)
@@ -162,10 +181,11 @@ class Scheduler:
         task = Task(gen, name=name or getattr(fn, "__name__", ""))
         task.daemon = daemon
         # spawn-order index: replay-stable, unlike the process-global tid
-        self._ltids[task.tid] = len(self._ltids)
+        task.ltid = self._ltids[task.tid] = len(self._ltids)
+        self._live += 1
         if self.track_clocks:
             # child inherits the current global knowledge at spawn time
-            task.vclock = VectorClock().tick(task.tid)
+            task.vclock = VectorClock({task.tid: 1})
         self.tasks.append(task)
         if self.metrics is not None:
             self.metrics.inc("tasks_spawned")
@@ -178,31 +198,34 @@ class Scheduler:
         out: list[Transition] = []
         rec = self.record_enabled
         for task in self.tasks:
-            if task.state is TaskState.READY:
+            state = task.state
+            if state is _READY:
                 if task.choice_options is not None:
                     for opt in task.choice_options:
                         out.append(Transition(
-                            task, "choice", payload=opt,
-                            footprint=EMPTY_FOOTPRINT if rec else None))
+                            task, "choice", opt, -1,
+                            EMPTY_FOOTPRINT if rec else None))
                 else:
                     # what the generator will do next is unknown until it
-                    # resumes: footprint stays None (= conflicts with all)
-                    out.append(Transition(task, "run"))
-            elif task.state is TaskState.BLOCKED_ACQUIRE:
+                    # resumes: footprint stays None (= conflicts with all),
+                    # so the transition never changes and is built once
+                    tr = task.run_transition
+                    if tr is None:
+                        tr = task.run_transition = Transition(task)
+                    out.append(tr)
+            elif state is _BLOCKED_ACQUIRE:
                 lock = task.blocked_on
                 if lock._can_grant(task):
-                    fp = (frozenset({self._stable_token(("lock", id(lock), "w"))})
-                          if rec else None)
-                    out.append(Transition(task, "acquire", footprint=fp))
-            elif task.state is TaskState.BLOCKED_RECEIVE:
+                    out.append(Transition(
+                        task, "acquire", None, -1,
+                        self._objects[id(lock)][2] if rec else None))
+            elif state is _BLOCKED_RECEIVE:
                 mailbox: Mailbox = task.blocked_on
-                fp = (frozenset({self._stable_token(("mbox", id(mailbox), "w"))})
-                      if rec else None)
+                fp = self._objects[id(mailbox)][2] if rec else None
                 for idx in mailbox._deliverable(task.receive_matcher):
                     out.append(Transition(task, "deliver",
-                                          payload=mailbox.pending[idx].message,
-                                          payload_index=idx,
-                                          footprint=fp))
+                                          mailbox.pending[idx].message,
+                                          idx, fp))
         return out
 
     # ------------------------------------------------------------------
@@ -210,7 +233,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute one transition.  Returns False when the run is over."""
-        if all(t.finished for t in self.tasks):
+        if not self._live:
             return False
         transitions = self.enabled_transitions()
         if not transitions:
@@ -235,20 +258,19 @@ class Scheduler:
 
         enabled_summary: Optional[tuple] = None
         if self.record_enabled:
-            self._sleepers_active = any(
-                t.state is TaskState.SLEEPING for t in self.tasks)
-            enabled_summary = tuple(
-                (self._ltid_of(tr.task.tid), tr.kind,
+            enabled_summary = tuple([
+                (tr.task.ltid, tr.kind,
                  tr.payload_index if tr.kind == "deliver"
                  else (repr(tr.payload) if tr.kind == "choice" else 0))
-                for tr in transitions)
+                for tr in transitions])
 
+        fanout = len(transitions)
         idx = self.policy.choose(transitions)
-        if not 0 <= idx < len(transitions):
-            raise SimulationError(f"policy chose {idx} of {len(transitions)}")
-        tr = transitions[idx]
-        self._execute(tr, idx, len(transitions), enabled_summary)
-        self._tick_sleepers()
+        if not 0 <= idx < fanout:
+            raise SimulationError(f"policy chose {idx} of {fanout}")
+        self._execute(transitions[idx], idx, fanout, enabled_summary)
+        if self._sleeping:
+            self._tick_sleepers()
         return True
 
     def run(self) -> Trace:
@@ -296,13 +318,14 @@ class Scheduler:
     def _execute(self, tr: Transition, chosen: int, fanout: int,
                  enabled: Optional[tuple] = None) -> None:
         task = tr.task
+        kind = tr.kind
         value: Any = None
         payload_repr: Optional[str] = None
         ready_names: tuple = ()
         if self.monitors is not None:
             # runnable tasks at choice time (starvation monitoring)
             ready_names = tuple(t.name for t in self.tasks
-                                if t.state is TaskState.READY)
+                                if t.state is _READY)
         self._evt_obj_name = None
         self._evt_msg_seq = None
         self._evt_recv_seq = None
@@ -311,7 +334,7 @@ class Scheduler:
         m = self.metrics
         if m is not None:
             m.inc("steps")
-            ltid = self._ltid_of(task.tid)
+            ltid = task.ltid
             if self._last_ran_ltid is not None and self._last_ran_ltid != ltid:
                 m.inc("context_switches")
             self._last_ran_ltid = ltid
@@ -321,39 +344,42 @@ class Scheduler:
         # reduction bookkeeping: the executed step's access footprint.
         # Kind contributions must be captured *before* dispatch clears
         # ``blocked_on`` (acquire grants and delivers mutate the object).
-        step_fp: Optional[set] = set() if self.record_enabled else None
-        if step_fp is not None:
+        step_fp: Optional[set] = None
+        sleepers_active = False
+        if self.record_enabled:
+            step_fp = set()
+            sleepers_active = self._sleeping > 0
             # an Access yielded last step announced what THIS segment does
-            announced = getattr(task, "_announced_access", None)
+            announced = task._announced_access
             if announced is not None:
                 step_fp.add(announced)
                 task._announced_access = None
-            if tr.kind == "acquire":
+            if kind == "acquire":
                 step_fp.add(("lock", id(task.blocked_on), "w"))
-            elif tr.kind == "deliver":
+            elif kind == "deliver":
                 step_fp.add(("mbox", id(task.blocked_on), "w"))
 
-        if tr.kind == "run":
+        if kind == "run":
             value, task.pending_value = task.pending_value, None
-        elif tr.kind == "choice":
+        elif kind == "choice":
             task.choice_options = None
             value = tr.payload
             payload_repr = repr(tr.payload)
-        elif tr.kind == "acquire":
+        elif kind == "acquire":
             lock = task.blocked_on
-            lock._grant(task, getattr(task, "_reacquire_depth", 1) or 1)
+            lock._grant(task, task._reacquire_depth or 1)
             task._reacquire_depth = 1
             self._merge_clock(task, lock._vclock)
             payload_repr = getattr(lock, "name", None)
             self._evt_obj_name = payload_repr
             if m is not None:
-                blocked_at = getattr(task, "_blocked_at_step", None)
+                blocked_at = task._blocked_at_step
                 if blocked_at is not None:
                     m.observe("lock_wait_ticks", self._step_no - blocked_at)
                 m.inc("lock_acquires")
                 m.inc(f"lock.{payload_repr}.acquires")
             self._unblock(task)
-        elif tr.kind == "deliver":
+        elif kind == "deliver":
             mailbox: Mailbox = task.blocked_on
             env = mailbox._take(tr.payload_index)
             self._merge_clock(task, env.vclock)
@@ -371,14 +397,14 @@ class Scheduler:
             value = env.message
             payload_repr = repr(env)
         else:  # pragma: no cover
-            raise SimulationError(f"unknown transition kind {tr.kind}")
+            raise SimulationError(f"unknown transition kind {kind}")
 
-        if self.record_enabled and value is not None:
+        if step_fp is not None and value is not None:
             # kernel-fed inputs (choice picks, delivered messages, join
             # results) become task-local state invisible to fingerprints
             # unless logged: two tasks at the same step with different
             # inputs are NOT in the same local state
-            task._inputs = getattr(task, "_inputs", ()) + (
+            task._inputs = task._inputs + (
                 ("task", self._ltid_of(value.tid)) if isinstance(value, Task)
                 else repr(value),)
 
@@ -408,14 +434,14 @@ class Scheduler:
             else:
                 if isinstance(effect, Access):
                     access_var, access_kind = effect.var, effect.kind
-                if step_fp is not None:
-                    if isinstance(effect, Access):
+                    if step_fp is not None:
                         # the declared access happens in the task's NEXT
                         # segment (`yield Access(...)` precedes the code
                         # it describes) — defer the token to that step
                         task._announced_access = next(iter(effect.footprint()))
-                    elif (isinstance(effect, Acquire)
-                            and task.state is TaskState.BLOCKED_ACQUIRE):
+                elif step_fp is not None:
+                    if (isinstance(effect, Acquire)
+                            and task.state is _BLOCKED_ACQUIRE):
                         # parking only *observes* the lock; two parks of
                         # different tasks commute (r-r independent),
                         # while a Release ("w") still conflicts
@@ -423,181 +449,178 @@ class Scheduler:
                     else:
                         step_fp.update(effect.footprint())
 
+        footprint: Optional[frozenset] = None
         if step_fp is not None:
             if task.finished:
                 # finishing/failing wakes joiners — a write on the task
                 step_fp.add(("task", task.tid, "w"))
-            if self._sleepers_active:
+            if sleepers_active:
                 # any step taken while a sleeper exists advances its
                 # timer: steps are never reorderable across sleep ticks
                 step_fp.add(("time", 0, "w"))
+            footprint = frozenset([self._stable_token(t) for t in step_fp])
 
-        self.trace.events.append(TraceEvent(
-            step=self._step_no,
-            task_tid=task.tid,
-            task_name=task.name,
-            kind=tr.kind,
-            effect_repr=effect_repr,
-            chosen_index=chosen,
-            fanout=fanout,
-            vclock=task.vclock if self.track_clocks else None,
-            access_var=access_var,
-            access_kind=access_kind,
-            payload_repr=payload_repr,
-            task_ltid=self._ltid_of(task.tid),
-            footprint=frozenset(self._stable_token(t) for t in step_fp)
-            if step_fp is not None else None,
-            enabled=enabled,
-            obj_name=self._evt_obj_name,
-            msg_seq=self._evt_msg_seq,
-            recv_seq=self._evt_recv_seq,
-            recv_mbox=self._evt_recv_mbox,
-        ))
+        event = TraceEvent(self._step_no, task.tid, task.name, kind,
+                           effect_repr, chosen, fanout,
+                           task.vclock if self.track_clocks else None,
+                           access_var, access_kind, payload_repr, task.ltid,
+                           footprint, enabled, self._evt_obj_name,
+                           self._evt_msg_seq, self._evt_recv_seq,
+                           self._evt_recv_mbox)
+        self.trace.events.append(event)
         if self.monitors is not None:
-            self.monitors.feed(self.trace.events[-1], ready_names)
+            self.monitors.feed(event, ready_names)
 
         if task.state is TaskState.FAILED and self.raise_on_failure:
             raise TaskFailed(task.name, task.error)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # effect interpretation
+    # effect interpretation: one handler per effect type (see _HANDLERS)
     # ------------------------------------------------------------------
     def _apply_effect(self, task: Task, effect: Effect) -> str:
-        if isinstance(effect, (Acquire, Release)):
-            self._register(effect.lock)
-        elif isinstance(effect, (Wait, Notify)):
-            self._register(effect.monitor)
-        elif isinstance(effect, (Send, Receive)):
-            self._register(effect.mailbox)
+        handler = _HANDLERS.get(type(effect))
+        if handler is None:
+            handler = _handler_for(type(effect))
+        return handler(self, task, effect)
 
-        if isinstance(effect, (Pause, Access)):
-            if isinstance(effect, Access):
-                self._access_seen = True
-                if effect.kind is AccessKind.READ:
-                    task._read_access = True
-            label = effect.label or ("access " + effect.var
-                                     if isinstance(effect, Access) else "pause")
-            return label
+    def _on_pause(self, task: Task, effect: Pause) -> str:
+        return effect.label or "pause"
 
+    def _on_access(self, task: Task, effect: Access) -> str:
+        self._access_seen = True
+        if effect.kind is AccessKind.READ:
+            task._read_access = True
+        return effect.label or "access " + effect.var
+
+    def _on_acquire(self, task: Task, effect: Acquire) -> str:
+        lock = effect.lock
+        self._register(lock, "lock")
         m = self.metrics
-        if isinstance(effect, Acquire):
-            lock = effect.lock
-            self._evt_obj_name = getattr(lock, "name", None)
-            if lock._can_grant(task):
-                lock._grant(task)
-                self._merge_clock(task, lock._vclock)
-                if m is not None:
-                    m.inc("lock_acquires")
-                    m.inc(f"lock.{self._evt_obj_name}.acquires")
-                    m.observe("lock_wait_ticks", 0)
-            else:
-                if hasattr(lock, "contention_count"):
-                    lock.contention_count += 1
-                if m is not None:
-                    m.inc("lock_contended")
-                    m.inc(f"lock.{self._evt_obj_name}.contended")
-                self._block(task, TaskState.BLOCKED_ACQUIRE, lock,
-                            f"acquire {getattr(lock, 'name', lock)!r}")
-            return f"acquire {getattr(lock, 'name', lock)}"
-
-        if isinstance(effect, Release):
-            lock = effect.lock
-            self._evt_obj_name = getattr(lock, "name", None)
-            fully = lock._release(task)
-            if fully and self.track_clocks and task.vclock is not None:
-                lock._vclock = lock._vclock.merge(task.vclock)
+        self._evt_obj_name = getattr(lock, "name", None)
+        if lock._can_grant(task):
+            lock._grant(task)
+            self._merge_clock(task, lock._vclock)
             if m is not None:
-                m.inc("lock_releases")
-            return f"release {getattr(lock, 'name', lock)}"
-
-        if isinstance(effect, Wait):
-            mon = effect.monitor
-            if not isinstance(mon, SimMonitor):
-                raise IllegalEffectError(f"WAIT on non-monitor {mon!r}")
-            self._evt_obj_name = mon.name
+                m.inc("lock_acquires")
+                m.inc(f"lock.{self._evt_obj_name}.acquires")
+                m.observe("lock_wait_ticks", 0)
+        else:
+            if hasattr(lock, "contention_count"):
+                lock.contention_count += 1
             if m is not None:
-                m.inc("monitor_waits")
-            if self.track_clocks and task.vclock is not None:
-                mon._vclock = mon._vclock.merge(task.vclock)
-            mon._park_waiter(task)
-            self._block(task, TaskState.BLOCKED_WAIT, mon,
-                        f"wait on {mon.name}")
-            return f"wait {mon.name}"
+                m.inc("lock_contended")
+                m.inc(f"lock.{self._evt_obj_name}.contended")
+            self._block(task, _BLOCKED_ACQUIRE, lock,
+                        f"acquire {getattr(lock, 'name', lock)!r}")
+        return f"acquire {getattr(lock, 'name', lock)}"
 
-        if isinstance(effect, Notify):
-            mon = effect.monitor
-            if not isinstance(mon, SimMonitor):
-                raise IllegalEffectError(f"NOTIFY on non-monitor {mon!r}")
-            if mon._owner is not task:
-                raise IllegalEffectError(
-                    f"{task.name} notified {mon.name} without holding it")
-            self._evt_obj_name = mon.name
-            if m is not None:
-                m.inc("monitor_notifies")
-            for waiter, depth in mon._pop_waiters(effect.all):
-                waiter._reacquire_depth = depth
-                self._block(waiter, TaskState.BLOCKED_ACQUIRE, mon,
-                            f"re-acquire {mon.name} after notify")
-            return f"notify{'All' if effect.all else ''} {mon.name}"
+    def _on_release(self, task: Task, effect: Release) -> str:
+        lock = effect.lock
+        self._register(lock, "lock")
+        self._evt_obj_name = getattr(lock, "name", None)
+        fully = lock._release(task)
+        if fully and self.track_clocks and task.vclock is not None:
+            lock._vclock = lock._vclock.merge(task.vclock)
+        if self.metrics is not None:
+            self.metrics.inc("lock_releases")
+        return f"release {getattr(lock, 'name', lock)}"
 
-        if isinstance(effect, Send):
-            env = effect.mailbox._deposit(effect.message, task)
-            self._evt_obj_name = effect.mailbox.name
-            self._evt_msg_seq = env.seq
-            if m is not None:
-                depth = len(effect.mailbox.pending)
-                m.inc("messages_sent")
-                m.inc(f"mailbox.{effect.mailbox.name}.sent")
-                m.observe("mailbox_depth", depth)
-                m.gauge_max("mailbox_depth_max", depth)
-                m.gauge_max(f"mailbox.{effect.mailbox.name}.depth_max",
-                            depth)
-                m._sent_at[env.seq] = self._step_no
-            return f"send {env.message!r} to {effect.mailbox.name}"
+    def _on_wait(self, task: Task, effect: Wait) -> str:
+        mon = effect.monitor
+        self._register(mon, "lock")
+        if not isinstance(mon, SimMonitor):
+            raise IllegalEffectError(f"WAIT on non-monitor {mon!r}")
+        self._evt_obj_name = mon.name
+        if self.metrics is not None:
+            self.metrics.inc("monitor_waits")
+        if self.track_clocks and task.vclock is not None:
+            mon._vclock = mon._vclock.merge(task.vclock)
+        mon._park_waiter(task)
+        self._block(task, TaskState.BLOCKED_WAIT, mon, f"wait on {mon.name}")
+        return f"wait {mon.name}"
 
-        if isinstance(effect, Receive):
-            self._evt_obj_name = effect.mailbox.name
-            task.receive_matcher = effect.matcher
-            self._block(task, TaskState.BLOCKED_RECEIVE, effect.mailbox,
-                        f"receive from {effect.mailbox.name}")
-            return f"receive from {effect.mailbox.name}"
+    def _on_notify(self, task: Task, effect: Notify) -> str:
+        mon = effect.monitor
+        self._register(mon, "lock")
+        if not isinstance(mon, SimMonitor):
+            raise IllegalEffectError(f"NOTIFY on non-monitor {mon!r}")
+        if mon._owner is not task:
+            raise IllegalEffectError(
+                f"{task.name} notified {mon.name} without holding it")
+        self._evt_obj_name = mon.name
+        if self.metrics is not None:
+            self.metrics.inc("monitor_notifies")
+        for waiter, depth in mon._pop_waiters(effect.all):
+            waiter._reacquire_depth = depth
+            self._block(waiter, _BLOCKED_ACQUIRE, mon,
+                        f"re-acquire {mon.name} after notify")
+        return f"notify{'All' if effect.all else ''} {mon.name}"
 
-        if isinstance(effect, Spawn):
-            child = self.spawn(effect.gen, name=effect.name,
-                               daemon=effect.daemon)
-            if self.track_clocks and task.vclock is not None:
-                child.vclock = child.vclock.merge(task.vclock)
-            task.pending_value = child
-            return f"spawn {child.name}"
+    def _on_send(self, task: Task, effect: Send) -> str:
+        mailbox = effect.mailbox
+        self._register(mailbox, "mbox")
+        env = mailbox._deposit(effect.message, task)
+        self._evt_obj_name = mailbox.name
+        self._evt_msg_seq = env.seq
+        m = self.metrics
+        if m is not None:
+            depth = len(mailbox.pending)
+            m.inc("messages_sent")
+            m.inc(f"mailbox.{mailbox.name}.sent")
+            m.observe("mailbox_depth", depth)
+            m.gauge_max("mailbox_depth_max", depth)
+            m.gauge_max(f"mailbox.{mailbox.name}.depth_max", depth)
+            m._sent_at[env.seq] = self._step_no
+        return f"send {env.message!r} to {mailbox.name}"
 
-        if isinstance(effect, Join):
-            target: Task = effect.task
-            if target.finished:
-                task.pending_value = target.result
-                self._merge_clock(task, target.vclock)
-            else:
-                target.joiners.append(task)
-                self._block(task, TaskState.BLOCKED_JOIN, target,
-                            f"join {target.name}")
-            return f"join {target.name}"
+    def _on_receive(self, task: Task, effect: Receive) -> str:
+        mailbox = effect.mailbox
+        self._register(mailbox, "mbox")
+        self._evt_obj_name = mailbox.name
+        task.receive_matcher = effect.matcher
+        self._block(task, _BLOCKED_RECEIVE, mailbox,
+                    f"receive from {mailbox.name}")
+        return f"receive from {mailbox.name}"
 
-        if isinstance(effect, Choice):
-            if not effect.options:
-                raise IllegalEffectError(f"{task.name} yielded an empty Choice")
-            task.choice_options = tuple(effect.options)
-            return f"choice of {len(effect.options)}"
+    def _on_spawn(self, task: Task, effect: Spawn) -> str:
+        child = self.spawn(effect.gen, name=effect.name, daemon=effect.daemon)
+        if self.track_clocks and task.vclock is not None:
+            child.vclock = child.vclock.merge(task.vclock)
+        task.pending_value = child
+        return f"spawn {child.name}"
 
-        if isinstance(effect, Emit):
-            self.trace.output.append(effect.value)
-            return f"emit {effect.value!r}"
+    def _on_join(self, task: Task, effect: Join) -> str:
+        target: Task = effect.task
+        if target.finished:
+            task.pending_value = target.result
+            self._merge_clock(task, target.vclock)
+        else:
+            target.joiners.append(task)
+            self._block(task, TaskState.BLOCKED_JOIN, target,
+                        f"join {target.name}")
+        return f"join {target.name}"
 
-        if isinstance(effect, Sleep):
-            if effect.ticks > 0:
-                task.sleep_ticks = effect.ticks
-                task.state = TaskState.SLEEPING
-                task.blocked_reason = f"sleep {effect.ticks}"
-            return f"sleep {effect.ticks}"
+    def _on_choice(self, task: Task, effect: Choice) -> str:
+        if not effect.options:
+            raise IllegalEffectError(f"{task.name} yielded an empty Choice")
+        task.choice_options = tuple(effect.options)
+        return f"choice of {len(effect.options)}"
 
+    def _on_emit(self, task: Task, effect: Emit) -> str:
+        shown = repr(effect.value)
+        self.trace.output.append(effect.value)
+        self._output_reprs.append(shown)
+        return "emit " + shown
+
+    def _on_sleep(self, task: Task, effect: Sleep) -> str:
+        if effect.ticks > 0:
+            task.sleep_ticks = effect.ticks
+            task.state = _SLEEPING
+            task.blocked_reason = f"sleep {effect.ticks}"
+            self._sleeping += 1
+        return f"sleep {effect.ticks}"
+
+    def _on_non_effect(self, task: Task, effect: Any) -> str:
         raise IllegalEffectError(
             f"{task.name} yielded non-effect {effect!r} — task bodies must "
             f"yield repro.core.effects.Effect instances")
@@ -614,13 +637,13 @@ class Scheduler:
 
     def _unblock(self, task: Task) -> None:
         if self.metrics is not None:
-            blocked_at = getattr(task, "_blocked_at_step", None)
+            blocked_at = task._blocked_at_step
             if blocked_at is not None:
                 delta = self._step_no - blocked_at
                 self.metrics.observe("block_ticks", delta)
                 self.metrics.task_add(task.name, "block_ticks", delta)
                 task._blocked_at_step = None
-        task.state = TaskState.READY
+        task.state = _READY
         task.blocked_on = None
         task.blocked_reason = ""
 
@@ -631,6 +654,7 @@ class Scheduler:
     def _finish(self, task: Task, result: Any) -> None:
         task.state = TaskState.DONE
         task.result = result
+        self._live -= 1
         if self.metrics is not None:
             self.metrics.inc("tasks_finished")
         for joiner in task.joiners:
@@ -642,6 +666,7 @@ class Scheduler:
     def _fail(self, task: Task, exc: BaseException) -> None:
         task.state = TaskState.FAILED
         task.error = exc
+        self._live -= 1
         if self.metrics is not None:
             self.metrics.inc("tasks_failed")
         for joiner in task.joiners:
@@ -652,33 +677,38 @@ class Scheduler:
 
     def _tick_sleepers(self) -> None:
         for t in self.tasks:
-            if t.state is TaskState.SLEEPING:
+            if t.state is _SLEEPING:
                 t.sleep_ticks -= 1
                 if t.sleep_ticks <= 0:
+                    self._sleeping -= 1
                     self._unblock(t)
 
     def _advance_sleepers(self) -> bool:
         """No enabled transition: fast-forward simulated time if possible."""
-        sleepers = [t for t in self.tasks if t.state is TaskState.SLEEPING]
-        if not sleepers:
+        if not self._sleeping:
             return False
-        for t in sleepers:
-            self._unblock(t)
+        for t in self.tasks:
+            if t.state is _SLEEPING:
+                self._unblock(t)
+        self._sleeping = 0
         return True
 
     # ------------------------------------------------------------------
     # reduction support: spawn-order identity + state fingerprints
     # ------------------------------------------------------------------
-    def _register(self, obj: Any) -> None:
+    def _register(self, obj: Any, dom: str) -> None:
         """Track a sync object in dense first-use order.
 
         ``id(obj)`` differs between replayed runs; the first-use index
         does not (replay determinism), so fingerprints reference objects
-        by that index.
+        by that index.  ``dom`` (``"lock"`` or ``"mbox"``) names the
+        object's footprint domain: the stable write footprint of grants
+        and deliveries on it is built here, once.
         """
         key = id(obj)
         if key not in self._objects:
-            self._objects[key] = (len(self._objects), obj)
+            index = len(self._objects)
+            self._objects[key] = (index, obj, frozenset({(dom, index, "w")}))
 
     def _ltid_of(self, tid: int) -> int:
         return self._ltids.get(tid, -1)
@@ -730,11 +760,10 @@ class Scheduler:
         flow has diverged on user state never look reconverged unless
         they have taken identical step counts.
         """
-        ltid = self._ltid_of
-        tasks_part = tuple(
-            (ltid(t.tid), t.state.name, t.steps,
-             self._state_ref(t.blocked_on),
-             self._state_ref(t.pending_value)
+        state_ref = self._state_ref
+        tasks_part = tuple([
+            (t.ltid, t.state._name_, t.steps, state_ref(t.blocked_on),
+             state_ref(t.pending_value)
              if isinstance(t.pending_value, Task) else repr(t.pending_value),
              repr(t.choice_options) if t.choice_options is not None else None,
              t.sleep_ticks,
@@ -743,13 +772,14 @@ class Scheduler:
              # state is the world object): its input history then stops
              # blocking reconvergence, which is what lets the
              # fingerprint reduction prune single-driver programs
-             getattr(t, "_inputs", ())
-             if getattr(t, "fingerprint_inputs", True) else ())
-            for t in self.tasks)
-        objects_part = tuple(
+             t._inputs if t.fingerprint_inputs else ())
+            for t in self.tasks])
+        ltid = self._ltid_of
+        # insertion order is first-use order: no sort needed
+        objects_part = tuple([
             obj.state_key(ltid) if hasattr(obj, "state_key") else repr(obj)
-            for _, obj in sorted(self._objects.values(), key=lambda e: e[0]))
-        output_part = tuple(repr(v) for v in self.trace.output)
+            for _, obj, _ in self._objects.values()])
+        output_part = tuple(self._output_reprs)
         extra = (repr(self.fingerprint_extra())
                  if self.fingerprint_extra is not None else None)
         return (tasks_part, objects_part, output_part, extra)
@@ -765,10 +795,11 @@ class Scheduler:
         task has *read* a shared variable, so its locals may hold a
         value no fingerprint component tracks.
         """
-        if self._access_seen and self.fingerprint_extra is None:
+        if not self._access_seen:
+            return False          # no Access, so no task has read either
+        if self.fingerprint_extra is None:
             return True
-        return any(getattr(t, "_read_access", False) and not t.finished
-                   for t in self.tasks)
+        return any(t._read_access and not t.finished for t in self.tasks)
 
     # ------------------------------------------------------------------
     def results(self) -> dict[str, Any]:
@@ -794,3 +825,30 @@ def run_tasks(*fns: Callable[[], Any],
     for fn, name in zip(fns, name_list):
         sched.spawn(fn, name=name)
     return sched.run()
+
+
+#: effect type -> its Scheduler handler (exact-type dispatch)
+_HANDLERS: dict[type, Callable[[Scheduler, Task, Any], str]] = {
+    Pause: Scheduler._on_pause,
+    Access: Scheduler._on_access,
+    Acquire: Scheduler._on_acquire,
+    Release: Scheduler._on_release,
+    Wait: Scheduler._on_wait,
+    Notify: Scheduler._on_notify,
+    Send: Scheduler._on_send,
+    Receive: Scheduler._on_receive,
+    Spawn: Scheduler._on_spawn,
+    Join: Scheduler._on_join,
+    Choice: Scheduler._on_choice,
+    Emit: Scheduler._on_emit,
+    Sleep: Scheduler._on_sleep,
+}
+
+
+def _handler_for(cls: type) -> Callable[[Scheduler, Task, Any], str]:
+    """Handler of an effect subclass: that of its nearest handled base
+    (anything else is not an effect the kernel knows)."""
+    for base in cls.__mro__:
+        if base in _HANDLERS:
+            return _HANDLERS[base]
+    return Scheduler._on_non_effect

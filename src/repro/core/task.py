@@ -30,8 +30,8 @@ class TaskState(enum.Enum):
     FAILED = "failed"
 
 
-#: states from which a task can never run again
-_TERMINAL = frozenset({TaskState.DONE, TaskState.FAILED})
+_DONE = TaskState.DONE
+_FAILED = TaskState.FAILED
 
 
 class Task:
@@ -43,6 +43,27 @@ class Task:
     """
 
     _counter = 0
+
+    # Scheduler bookkeeping, read on every step.  Class-level defaults
+    # make those reads hit without costing each spawn a store; the
+    # scheduler shadows them per task as it goes.
+    #: spawn-order index in the owning scheduler (replay-stable id)
+    ltid: int = -1
+    #: the task's "run" transition, built once by the scheduler
+    run_transition: Any = None
+    #: False when ``Scheduler.fingerprint_extra`` captures all of the
+    #: task's locals, so its input history is left out of fingerprints
+    fingerprint_inputs: bool = True
+    #: footprint token an Access announced for the task's next step
+    _announced_access: Optional[tuple] = None
+    #: kernel-fed inputs (reduction runs only; see Scheduler._execute)
+    _inputs: tuple = ()
+    #: monitor depth to restore when a notified waiter re-acquires
+    _reacquire_depth: int = 1
+    #: the task has read shared state (fingerprints are then opaque)
+    _read_access: bool = False
+    #: step at which the task blocked (metrics runs only)
+    _blocked_at_step: Optional[int] = None
 
     def __init__(self, gen: Generator[Effect, Any, Any], name: str = ""):
         if not hasattr(gen, "send"):
@@ -83,7 +104,9 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return self.state in _TERMINAL
+        """DONE or FAILED: the task can never run again."""
+        state = self.state
+        return state is _DONE or state is _FAILED
 
     @property
     def runnable(self) -> bool:

@@ -20,13 +20,17 @@ from .effects import AccessKind
 __all__ = ["TraceEvent", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     """One atomic step of one task.
 
     ``effect_repr`` is a stable string form of the yielded effect (the
     effect objects themselves may hold live references to locks and
     mailboxes; traces must stay inspectable after the run is gone).
+
+    The scheduler builds one per step, so ``__init__`` is written out:
+    it fills the instance dict in one call instead of the generated
+    frozen ``__init__``'s one ``object.__setattr__`` per field.
     """
 
     step: int
@@ -61,6 +65,27 @@ class TraceEvent:
     recv_seq: Optional[int] = None
     #: mailbox the delivered message came from
     recv_mbox: Optional[str] = None
+
+    def __init__(self, step: int, task_tid: int, task_name: str, kind: str,
+                 effect_repr: str, chosen_index: int, fanout: int,
+                 vclock: Optional[VectorClock] = None,
+                 access_var: Optional[str] = None,
+                 access_kind: Optional[AccessKind] = None,
+                 payload_repr: Optional[str] = None, task_ltid: int = -1,
+                 footprint: Optional[frozenset] = None,
+                 enabled: Optional[tuple] = None,
+                 obj_name: Optional[str] = None,
+                 msg_seq: Optional[int] = None,
+                 recv_seq: Optional[int] = None,
+                 recv_mbox: Optional[str] = None) -> None:
+        self.__dict__.update(
+            step=step, task_tid=task_tid, task_name=task_name, kind=kind,
+            effect_repr=effect_repr, chosen_index=chosen_index,
+            fanout=fanout, vclock=vclock, access_var=access_var,
+            access_kind=access_kind, payload_repr=payload_repr,
+            task_ltid=task_ltid, footprint=footprint, enabled=enabled,
+            obj_name=obj_name, msg_seq=msg_seq, recv_seq=recv_seq,
+            recv_mbox=recv_mbox)
 
     def describe(self, show_clock: bool = False) -> str:
         extra = f" [{self.payload_repr}]" if self.payload_repr else ""

@@ -384,6 +384,9 @@ def explore(program: Program,
         every ``progress_every`` completed runs (sequential exploration
         only; forked workers cannot call back into the parent).  The
         callback must not mutate the stats object.
+    progress_every:
+        Completed runs between ``progress`` calls; must be at least 1
+        (``ValueError`` otherwise, raised before the search starts).
     clock:
         Time source for the wall-clock stats (default:
         :data:`repro.obs.profile.wall_clock`).  Tests inject a
@@ -396,6 +399,8 @@ def explore(program: Program,
     """
     reduce_set = _normalize_reduce(reduce)
     monitor_factory = _normalize_monitors(monitors)
+    if progress_every < 1:
+        raise ValueError(f"progress_every must be >= 1, got {progress_every}")
     if clock is None:
         from ..obs.profile import wall_clock
         clock = wall_clock
@@ -540,7 +545,8 @@ def _conflicts(fp_a: Optional[frozenset], fp_b: Optional[frozenset]) -> bool:
     return False
 
 
-def _analyze(events: list[TraceEvent], stack: list[_Node], base: int) -> None:
+def _analyze(events: list[TraceEvent], stack: list[_Node], base: int,
+             fresh: int) -> None:
     """Seed backtrack sets from one executed trace (DPOR, Flanagan–
     Godefroid style adapted to replay exploration).
 
@@ -566,16 +572,23 @@ def _analyze(events: list[TraceEvent], stack: list[_Node], base: int) -> None:
       there.  Every enabled transition is scheduled at that node (the
       classical fallback) and the scan continues to the co-enabled
       race partner shielded behind it.
+
+    Only steps from index ``fresh`` on are analysed: the steps before it
+    replayed a prefix an earlier run executed and analysed against the
+    same predecessors and the same stack nodes, and analysing a step
+    again adds nothing (``add_index`` skips indices already in ``done``
+    or ``todo``).  The scan for each fresh step still looks back into
+    the replayed prefix.
     """
-    for j in range(base + 1, len(events)):
+    for j in range(max(base + 1, fresh), len(events)):
         ej = events[j]
+        ltid_j, fp_j = ej.task_ltid, ej.footprint
         for i in range(j - 1, base - 1, -1):
             ei = events[i]
-            if not _conflicts(ei.footprint, ej.footprint):
+            # same-task pairs never seed anything (tested first: cheaper)
+            if ei.task_ltid == ltid_j or not _conflicts(ei.footprint, fp_j):
                 continue
-            if ei.task_ltid == ej.task_ltid:
-                continue
-            if stack[i].add_task(ej.task_ltid):
+            if stack[i].add_task(ltid_j):
                 break
             stack[i].add_everyone()
 
@@ -595,11 +608,9 @@ def _analyze_virtual(events: list[TraceEvent], stack: list[_Node], base: int,
     for ltid_v, fp_v in future_pairs:
         for i in range(len(events) - 1, base - 1, -1):
             ei = events[i]
-            if not _conflicts(ei.footprint, fp_v):
-                continue
-            if ei.task_ltid == ltid_v:
-                # program order fixes this pair; earlier steps can
-                # still race with the virtual step (see _analyze)
+            # program order fixes a same-task pair; earlier steps can
+            # still race with the virtual step (see _analyze)
+            if ei.task_ltid == ltid_v or not _conflicts(ei.footprint, fp_v):
                 continue
             if stack[i].add_task(ltid_v):
                 break
@@ -627,12 +638,13 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
     stats = result.stats
     prefix: list[int] = list(init_prefix)
     stack: list[_Node] = []
-    #: (depth, Scheduler.fingerprint()) → set of (ltid, footprint) pairs
-    #: executed in the subtree below that state (the summary feeds
-    #: _analyze_virtual; with sleep off an empty set is stored but unused)
+    #: (depth, Scheduler.fingerprint()) → the (ltid, footprint) pairs
+    #: executed in the subtree below that state, as an insertion-ordered
+    #: dict (values unused) so that _analyze_virtual walks them in the
+    #: same order in every process; with sleep off it stays empty
     summaries: dict = {}
-    #: key of the state after k steps on the current path, index k-1
-    path_keys: list = []
+    #: summary of the state after k steps on the current path, index k-1
+    path_summaries: list = []
 
     while True:
         if result.runs >= max_runs:
@@ -640,7 +652,8 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
             break
 
         hook = None
-        run_keys: list = []
+        #: (depth, summary) of each state this run fingerprinted
+        run_summaries: list = []
         if use_fingerprint:
             plen = len(prefix)
 
@@ -656,11 +669,13 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
                     # fingerprints would not imply equal states
                     return True
                 key = (depth, sched.fingerprint())
-                run_keys.append((depth, key))
-                if key in summaries:
+                summary = summaries.get(key)
+                if summary is not None:
+                    run_summaries.append((depth, summary))
                     stats.fingerprint_hits += 1
                     return False
-                summaries[key] = set()
+                summary = summaries[key] = {}
+                run_summaries.append((depth, summary))
                 return True
 
         bus = monitor_factory() if monitor_factory is not None else None
@@ -675,6 +690,8 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
             progress(stats)
         events = trace.events
         path = trace.schedule()
+        # steps before this index replayed the prefix; see _analyze
+        fresh = max(len(prefix) - 1, 0)
 
         # grow the node stack over this run's newly reached depths
         for d in range(len(stack), len(events)):
@@ -691,32 +708,35 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
             stack.append(node)
 
         if use_fingerprint and use_sleep:
-            for depth, key in run_keys:
+            for depth, summary in run_summaries:
                 idx = depth - 1
-                while len(path_keys) <= idx:
-                    path_keys.append(None)
-                path_keys[idx] = key
+                while len(path_summaries) <= idx:
+                    path_summaries.append(None)
+                path_summaries[idx] = summary
             # every executed step belongs to the subtree of every state
-            # above it on this path: fold it into their summaries
-            ancestors: list = []
-            for j, e in enumerate(events):
+            # above it on this path: fold it into their summaries.  The
+            # replayed steps were folded into the same summaries when
+            # they were first executed, and summaries only grow, so the
+            # fold starts at the first fresh step.
+            ancestors = [s for s in path_summaries[:fresh] if s is not None]
+            for j in range(fresh, len(events)):
+                e = events[j]
                 pair = (e.task_ltid, e.footprint)
                 for s in ancestors:
-                    s.add(pair)
-                k = path_keys[j] if j < len(path_keys) else None
-                if k is not None:
-                    ancestors.append(summaries[k])
+                    s[pair] = None
+                below = path_summaries[j] if j < len(path_summaries) else None
+                if below is not None:
+                    ancestors.append(below)
 
         if use_sleep:
-            _analyze(events, stack, base)
-            if trace.outcome == "pruned" and run_keys:
+            _analyze(events, stack, base, fresh)
+            if trace.outcome == "pruned" and run_summaries:
                 # replay the pruned subtree's conflicts from its summary
-                future = tuple(summaries.get(run_keys[-1][1], ()))
+                future = dict.fromkeys(run_summaries[-1][1])
                 _analyze_virtual(events, stack, base, future)
-                for i in range(len(events) - 1):
-                    k = path_keys[i] if i < len(path_keys) else None
-                    if k is not None:
-                        summaries[k].update(future)
+                for s in path_summaries[:len(events) - 1]:
+                    if s is not None:
+                        s.update(future)
 
         # backtrack: deepest node with something left to try
         d = len(stack) - 1
@@ -732,7 +752,7 @@ def _explore_reduced(program: Program, *, max_runs: int, max_steps: int,
         # nodes below d retire now (todo empty): tally their prunes
         stats.sleep_prunes += _sleep_prunes(stack[d + 1:])
         del stack[d + 1:]
-        del path_keys[d:]
+        del path_summaries[d:]
         prefix = path[:d] + [nxt]
 
     stats.fingerprint_states = len(summaries)

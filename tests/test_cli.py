@@ -304,3 +304,13 @@ def test_bench_rejects_non_integer_workload(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--workers", "many"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("every", ["0", "-1", "x"])
+def test_check_rejects_progress_every_below_one(capsys, tmp_path, every):
+    source = tmp_path / "p.pseudo"
+    source.write_text("PRINT(1)\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(source), "--progress", "--progress-every", every])
+    assert exc.value.code == 2
+    assert "--progress-every" in capsys.readouterr().err

@@ -168,6 +168,17 @@ class TestFailureHandling:
             run_tasks(bad)
         assert isinstance(err.value.original, IllegalEffectError)
 
+    def test_effect_subclass_runs_as_its_base(self):
+        class Shout(Emit):
+            pass
+
+        def loud():
+            yield Shout("hi")
+            yield Emit("!")
+        trace = run_tasks(loud)
+        assert trace.output == ["hi", "!"]
+        assert trace.events[0].effect_repr == "emit 'hi'"
+
 
 class TestDeadlockAndBudget:
     def test_deadlock_raises_with_blocked_names(self):

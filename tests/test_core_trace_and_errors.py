@@ -1,9 +1,15 @@
 """Trace rendering, error types, task bookkeeping, values formatting."""
 
+import inspect
+from dataclasses import (MISSING, FrozenInstanceError, asdict, fields,
+                         replace)
+
 import pytest
 
 from repro.core import (DeadlockError, Emit, Pause, RandomPolicy, Scheduler,
                         SimLock, Task, TaskState)
+from repro.core.policy import Transition
+from repro.core.trace import TraceEvent
 
 
 class TestTrace:
@@ -45,6 +51,33 @@ class TestTrace:
     def test_schedule_and_decisions_align(self):
         trace = self._trace()
         assert len(trace.schedule()) == len(trace.decisions()) == len(trace)
+
+
+class TestHandWrittenInits:
+    """TraceEvent and Transition write their ``__init__`` out for speed;
+    it must keep the dataclass contract the generated one had."""
+
+    @pytest.mark.parametrize("cls", [TraceEvent, Transition])
+    def test_init_matches_fields(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING
+             else f.default) for f in fields(cls)]
+
+    def test_replace_asdict_eq_hash_and_frozen(self):
+        ev = TraceEvent(1, 7, "a", "run", "pause", 0, 2, task_ltid=0,
+                        footprint=frozenset({("out", 0, "w")}))
+        moved = replace(ev, step=2)
+        assert moved.step == 2 and moved.task_name == "a"
+        assert replace(moved, step=1) == ev
+        assert hash(replace(moved, step=1)) == hash(ev)
+        assert asdict(ev)["footprint"] == frozenset({("out", 0, "w")})
+        assert repr(ev).startswith("TraceEvent(step=1, task_tid=7,")
+        with pytest.raises(FrozenInstanceError):
+            ev.step = 3
+        tr = Transition(None, "choice", "x")
+        assert tr == Transition(None, "choice", "x", -1, None)
+        assert replace(tr, payload="y").payload == "y"
 
 
 class TestDeadlockError:

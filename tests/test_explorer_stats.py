@@ -1,5 +1,7 @@
 """ExplorationStats: prune counters, progress callbacks, parallel split."""
 
+import pytest
+
 from repro.core import Emit
 from repro.problems import kernel_program
 from repro.verify.explorer import ExplorationStats, explore
@@ -74,6 +76,18 @@ class TestProgress:
         explore(kernel_program("bridge_2car"), reduce=True,
                 progress=lambda s: seen.append(s.runs), progress_every=5)
         assert seen, "reduced exploration must still report progress"
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_progress_every_below_one_rejected_before_search(self, every):
+        calls = []
+
+        def program(sched):
+            calls.append(sched)
+            kernel_program("bridge_2car")(sched)
+
+        with pytest.raises(ValueError, match="progress_every"):
+            explore(program, progress=lambda s: None, progress_every=every)
+        assert calls == []
 
 
 class TestParallelAndMerge:
