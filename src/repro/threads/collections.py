@@ -43,29 +43,37 @@ class BlockingQueue(Generic[T]):
 
     # ------------------------------------------------------------------
     def put(self, item: T, timeout: Optional[float] = None) -> None:
-        with self._monitor:
-            ok = self._monitor.wait_until(
-                lambda: self._closed or self.capacity == 0
-                or len(self._items) < self.capacity,
-                timeout)
-            if not ok:
-                raise TimeoutError("put timed out")
-            if self._closed:
-                raise QueueClosed("put on closed queue")
+        monitor = self._monitor
+        with monitor:
+            # the guard is tested inline so an uncontended put never
+            # reaches wait_until
+            if self._closed or (self.capacity and
+                                len(self._items) >= self.capacity):
+                if not monitor.wait_until(self._can_put, timeout):
+                    raise TimeoutError("put timed out")
+                if self._closed:
+                    raise QueueClosed("put on closed queue")
             self._items.append(item)
-            self._monitor.notify_all()
+            monitor.notify_all()
 
     def take(self, timeout: Optional[float] = None) -> T:
-        with self._monitor:
-            ok = self._monitor.wait_until(
-                lambda: self._items or self._closed, timeout)
-            if not ok:
-                raise TimeoutError("take timed out")
+        monitor = self._monitor
+        with monitor:
             if not self._items:
-                raise QueueClosed("take on closed drained queue")
+                if not monitor.wait_until(self._can_take, timeout):
+                    raise TimeoutError("take timed out")
+                if not self._items:
+                    raise QueueClosed("take on closed drained queue")
             item = self._items.popleft()
-            self._monitor.notify_all()
+            monitor.notify_all()
             return item
+
+    def _can_put(self) -> bool:
+        return self._closed or self.capacity == 0 \
+            or len(self._items) < self.capacity
+
+    def _can_take(self) -> bool:
+        return bool(self._items) or self._closed
 
     def offer(self, item: T) -> bool:
         """Non-blocking put; False if full or closed."""
@@ -187,7 +195,11 @@ class CountDownLatch:
 
     def await_(self, timeout: Optional[float] = None) -> bool:
         with self._monitor:
-            return self._monitor.wait_until(lambda: self._count == 0, timeout)
+            return self._count == 0 \
+                or self._monitor.wait_until(self._released, timeout)
+
+    def _released(self) -> bool:
+        return self._count == 0
 
     @property
     def count(self) -> int:

@@ -54,7 +54,9 @@ class PoolFuture:
 
     def result(self, timeout: Optional[float] = None) -> Any:
         with self._monitor:
-            if not self._monitor.wait_until(lambda: self._done, timeout):
+            # ``done`` re-enters the monitor it already holds
+            if not self._done \
+                    and not self._monitor.wait_until(self.done, timeout):
                 raise TimeoutError("future result timed out")
             if self._cancelled:
                 raise RuntimeError("task was cancelled")

@@ -6,6 +6,16 @@ that idiom over :mod:`threading`: a reentrant lock fused with one
 condition queue, entered with ``with monitor:`` and signalled with the
 Java method names.
 
+The monitor is one C ``_thread.RLock`` plus a FIFO deque of private
+raw locks, one per parked ``wait()``: the waiter enqueues its lock
+already acquired, fully releases the RLock (``_release_save`` /
+``_acquire_restore``) and blocks re-acquiring its own lock; ``notify``
+pops and releases waiters, and with nobody waiting only counts.  A
+``notify`` that dequeues a waiter whose timeout has just expired counts
+as delivered (that ``wait()`` returns True), so no notification is
+swallowed.  ``held_by_me`` reads the RLock's own owner, so a stray
+``release()`` raises :class:`MonitorStateError` and changes nothing.
+
 ``@synchronized`` marks methods the way Java's keyword does: the paper's
 misconception S7 ("conflate order of method invocation/return with
 get/release lock") is precisely about the *difference* between calling a
@@ -16,9 +26,11 @@ that distinction.
 
 from __future__ import annotations
 
+import _thread
 import functools
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Optional, TypeVar
 
 __all__ = ["Monitor", "synchronized", "MonitorStateError"]
@@ -27,7 +39,7 @@ F = TypeVar("F", bound=Callable[..., Any])
 
 
 class MonitorStateError(RuntimeError):
-    """wait/notify called without holding the monitor (Java's
+    """wait/notify/release called without holding the monitor (Java's
     IllegalMonitorStateException)."""
 
 
@@ -46,10 +58,11 @@ class Monitor:
 
     def __init__(self, name: str = "", profiler: Optional[Any] = None):
         self.name = name or f"monitor@{id(self):x}"
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self._owner: Optional[int] = None
-        self._depth = 0
+        self._lock = _thread.RLock()
+        #: one private lock per parked ``wait()``, held by its waiter
+        #: until a notifier pops and releases it; only touched while
+        #: the monitor is held
+        self._waiters: deque = deque()
         #: lifetime entries / WAIT parks / NOTIFY signals — observability
         #: counters matching the kernel SimMonitor's; only mutated while
         #: the monitor is held, so no extra synchronization is needed
@@ -62,29 +75,38 @@ class Monitor:
 
     # -- lock protocol -----------------------------------------------------
     def __enter__(self) -> "Monitor":
+        lock = self._lock
         prof = self.profiler
+        if lock._is_owned():
+            # reentrant entry: never blocks, and acquire_count counts
+            # outermost entries only
+            lock.acquire()
+            if prof is not None:
+                prof.inc("lock.acquires")
+            return self
         if prof is None:
-            self._lock.acquire()
-        elif self._lock.acquire(blocking=False):
+            lock.acquire()
+        elif lock.acquire(False):
             prof.inc("lock.acquires")
         else:
             # contended: somebody else holds the lock — time the wait
             t0 = prof.now()
-            self._lock.acquire()
+            lock.acquire()
             prof.inc("lock.acquires")
             prof.inc("lock.contended")
             prof.observe_us("lock.wait_us", prof.now() - t0)
-        self._owner = threading.get_ident()
-        self._depth += 1
-        if self._depth == 1:
-            self.acquire_count += 1
+        self.acquire_count += 1
         return self
 
-    def __exit__(self, *exc: Any) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self._owner = None
-        self._lock.release()
+    def __exit__(self, exc_type: Any = None, exc: Any = None,
+                 tb: Any = None) -> None:
+        try:
+            self._lock.release()
+        except RuntimeError:
+            # not the owner: the lock refused before changing any state
+            raise MonitorStateError(
+                f"release() on {self.name} without holding the monitor"
+            ) from None
 
     def acquire(self) -> None:
         self.__enter__()
@@ -94,35 +116,52 @@ class Monitor:
 
     @property
     def held_by_me(self) -> bool:
-        return self._owner == threading.get_ident()
+        return self._lock._is_owned()
 
-    def _require_held(self, op: str) -> None:
-        if not self.held_by_me:
-            raise MonitorStateError(
-                f"{op} on {self.name} without holding the monitor")
+    def _not_held(self, op: str) -> MonitorStateError:
+        return MonitorStateError(
+            f"{op} on {self.name} without holding the monitor")
 
     # -- condition protocol ---------------------------------------------------
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Release the monitor and park; True unless the timeout expired.
+        """Release the monitor and park; True unless the timeout expired
+        with no ``notify`` delivered to this waiter.
 
         Mesa semantics: callers must re-check their predicate in a loop.
         """
-        self._require_held("wait()")
+        lock = self._lock
+        if not lock._is_owned():
+            raise self._not_held("wait()")
         self.wait_count += 1
         prof = self.profiler
         t0 = 0.0
         if prof is not None:
             prof.inc("monitor.waits")
             t0 = prof.now()
-        depth = self._depth
-        # threading.Condition handles full release/reacquire of the RLock
-        self._depth = 0
-        self._owner = None
+        waiter = _thread.allocate_lock()
+        waiter.acquire()
+        self._waiters.append(waiter)
+        # fully release the reentrant lock (every level) and restore the
+        # same depth afterwards
+        saved = lock._release_save()
+        signalled = False
         try:
-            signalled = self._cond.wait(timeout)
+            if timeout is None:
+                signalled = waiter.acquire()
+            elif timeout > 0:
+                signalled = waiter.acquire(True, timeout)
+            else:
+                signalled = waiter.acquire(False)
         finally:
-            self._owner = threading.get_ident()
-            self._depth = depth
+            lock._acquire_restore(saved)
+            if not signalled:
+                try:
+                    self._waiters.remove(waiter)
+                except ValueError:
+                    # a notifier popped this waiter after the timeout
+                    # but before the monitor was ours again: the notify
+                    # was delivered here, so report it
+                    signalled = True
         if prof is not None:
             prof.inc("monitor.wakeups")
             prof.observe_us("monitor.wait_us", prof.now() - t0)
@@ -131,7 +170,8 @@ class Monitor:
     def wait_until(self, predicate: Callable[[], bool],
                    timeout: Optional[float] = None) -> bool:
         """Guarded wait: ``WHILE NOT predicate() WAIT()`` from Figure 4."""
-        self._require_held("wait_until()")
+        if not self._lock._is_owned():
+            raise self._not_held("wait_until()")
         deadline = None if timeout is None else time.monotonic() + timeout
         while not predicate():
             remaining = None
@@ -143,19 +183,28 @@ class Monitor:
         return True
 
     def notify(self, n: int = 1) -> None:
-        self._require_held("notify()")
+        if not self._lock._is_owned():
+            raise self._not_held("notify()")
         self.notify_count += 1
         if self.profiler is not None:
             self.profiler.inc("monitor.notifies")
-        self._cond.notify(n)
+        waiters = self._waiters
+        while waiters and n > 0:
+            waiters.popleft().release()
+            n -= 1
 
     def notify_all(self) -> None:
         """The paper's NOTIFY(): every waiter finishes its WAIT()."""
-        self._require_held("notifyAll()")
+        if not self._lock._is_owned():
+            raise self._not_held("notifyAll()")
         self.notify_count += 1
         if self.profiler is not None:
             self.profiler.inc("monitor.notifies")
-        self._cond.notify_all()
+        waiters = self._waiters
+        if waiters:
+            for waiter in waiters:
+                waiter.release()
+            waiters.clear()
 
     def __repr__(self) -> str:
         return f"<Monitor {self.name}>"
